@@ -4,7 +4,9 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Ablation of the design choices DESIGN.md calls out, on the potrf kernel:
+// Ablation of the generator's design choices on the potrf kernel (the
+// per-layer `cir.*`/`lgen.*` metrics of slbench/README.md track the same
+// passes end to end):
 //   - the Stage 3 load/store analysis (shuffles/blends instead of memory
 //     round-trips, paper Figs. 11/12),
 //   - the Stage 2 scalar-merging rules R0/R1 (paper Table 2),

@@ -63,7 +63,8 @@ void sweepKf(Sweep &S, const std::vector<int> &Xs, bool FixedState) {
     // Nominal cost of the LA program itself (close to the paper's 11.3 n^3
     // for the square case; for the fixed-state sweep the paper's k^3/3
     // caption ignores the k-independent work, so we normalize honestly --
-    // see EXPERIMENTS.md).
+    // the same count slbench reports as flops_per_cycle; see
+    // slbench/README.md).
     double Flops = laFlops(la::kalmanSource(N, K));
     KfData D = makeData(N, K);
     std::vector<double> Scratch(8 * N * N + 8 * N);

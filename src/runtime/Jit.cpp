@@ -12,46 +12,228 @@
 #include "support/Format.h"
 
 #include <atomic>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
+#include <map>
+#include <mutex>
+#include <sstream>
+#include <vector>
 
 #include <dlfcn.h>
+#include <fcntl.h>
+#include <spawn.h>
 #include <sys/wait.h>
 #include <unistd.h>
+
+extern char **environ;
 
 using namespace slingen;
 using namespace slingen::runtime;
 
 namespace {
 
+std::string tmpDir() {
+  const char *Dir = getenv("TMPDIR");
+  return Dir ? Dir : "/tmp";
+}
+
 std::string uniqueBase() {
   static std::atomic<int> Counter{0};
-  const char *Dir = getenv("TMPDIR");
-  return formatf("%s/slingen_%d_%d", Dir ? Dir : "/tmp", getpid(),
+  return formatf("%s/slingen_%d_%d", tmpDir().c_str(), getpid(),
                  Counter.fetch_add(1));
 }
 
-/// A private temporary directory for one compile's .c and log. The source
-/// always gets the same basename inside it (slingen_tu.c): the compiler
-/// embeds the input basename in the object's symbol table (STT_FILE), so a
-/// per-process name would make byte-identical translation units compile to
-/// byte-different shared objects. With a fixed basename, equal TU + equal
-/// flags => equal .so bytes across processes and machines sharing a
-/// toolchain -- the identity the client facade's local/daemon smoke diffs.
-std::string makeCompileDir() {
-  const char *Dir = getenv("TMPDIR");
-  std::string Tmpl = std::string(Dir ? Dir : "/tmp") + "/slingen_ccXXXXXX";
+/// A private temporary directory under TMPDIR: one compile's .c and log, or
+/// a precompiled prologue. A compile's source always gets the same
+/// basename inside it (slingen_tu.c): the compiler embeds the input
+/// basename in the object's symbol table (STT_FILE), so a per-process name
+/// would make byte-identical translation units compile to byte-different
+/// shared objects. With a fixed basename, equal TU + equal flags => equal
+/// .so bytes across processes and machines sharing a toolchain -- the
+/// identity the client facade's local/daemon smoke diffs.
+std::string makeTempDir(const char *Prefix) {
+  std::string Tmpl = tmpDir() + "/" + Prefix + "XXXXXX";
   if (!mkdtemp(Tmpl.data()))
     return {};
   return Tmpl;
 }
 
-const char *compilerPath() {
-  const char *Env = getenv("SLINGEN_CC");
-  return Env ? Env : "cc";
+using Words = std::vector<std::string>;
+
+/// Whitespace-separated words of \p S. The compiler (SLINGEN_CC, e.g.
+/// "sh wrapper.sh") and CompileOptions::ExtraFlags are word lists, never
+/// shell text: paths are passed as single arguments, spaces and all.
+Words splitWords(const std::string &S) {
+  Words Out;
+  std::istringstream In(S);
+  for (std::string W; In >> W;)
+    Out.push_back(std::move(W));
+  return Out;
 }
+
+Words compilerWords() {
+  const char *Env = getenv("SLINGEN_CC");
+  Words W = splitWords(Env ? Env : "");
+  if (W.empty())
+    W.push_back("cc");
+  return W;
+}
+
+/// \p Argv as one line for diagnostics, words containing spaces quoted.
+std::string commandText(const Words &Argv) {
+  std::string S;
+  for (const std::string &W : Argv) {
+    if (!S.empty())
+      S += ' ';
+    S += W.find(' ') == std::string::npos ? W : "'" + W + "'";
+  }
+  return S;
+}
+
+/// Runs \p Argv (argv[0] searched on PATH) with stdout and stderr sent to
+/// \p LogPath and waits for it. Returns the exit status, or -1 when the
+/// process could not be started or did not exit normally.
+int runProcess(const Words &Argv, const std::string &LogPath) {
+  std::vector<char *> Args;
+  for (const std::string &W : Argv)
+    Args.push_back(const_cast<char *>(W.c_str()));
+  Args.push_back(nullptr);
+  posix_spawn_file_actions_t Actions;
+  posix_spawn_file_actions_init(&Actions);
+  posix_spawn_file_actions_addopen(&Actions, 1, LogPath.c_str(),
+                                   O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  posix_spawn_file_actions_adddup2(&Actions, 1, 2);
+  pid_t Pid = -1;
+  int Rc = posix_spawnp(&Pid, Args[0], &Actions, nullptr, Args.data(),
+                        environ);
+  posix_spawn_file_actions_destroy(&Actions);
+  if (Rc != 0)
+    return -1;
+  int Status = 0;
+  while (waitpid(Pid, &Status, 0) < 0)
+    if (errno != EINTR)
+      return -1;
+  return WIFEXITED(Status) ? WEXITSTATUS(Status) : -1;
+}
+
+/// Removes a private directory created by makeTempDir and its files.
+void removeTempDir(const std::string &Dir) {
+  std::error_code Ec;
+  std::filesystem::remove_all(Dir, Ec);
+}
+
+/// The prologue every emitted translation unit starts with (see
+/// cir::emitTranslationUnit and the batched emitters). Scalar TUs include
+/// only <math.h>; the extra intrinsics declarations emit no code.
+constexpr const char *PrologueText = "#include <math.h>\n"
+                                     "#include <immintrin.h>\n";
+
+/// Per-process precompiled prologues, one per compiler + flag set +
+/// TMPDIR. Parsing <immintrin.h> is most of the compile time of a small
+/// kernel, so the prologue is precompiled once and every compile
+/// force-includes it (-include). A compiler that cannot use the .gch reads
+/// the header text instead -- the same two includes the TU repeats
+/// anyway -- so a stale or foreign .gch costs time, never correctness or
+/// object bytes.
+class PrologueRegistry {
+public:
+  /// Process-lifetime singleton; its files are removed at exit.
+  static PrologueRegistry &global() {
+    // Leaked on purpose: compiles still running on detached threads during
+    // exit must never see a destroyed registry.
+    static PrologueRegistry *R = [] {
+      auto *P = new PrologueRegistry;
+      std::atexit([] { global().removeAll(); });
+      return P;
+    }();
+    return *R;
+  }
+
+  /// Header path to force-include for a compile with \p Cc and \p Flags,
+  /// built on first use (concurrent compiles with the same key wait for
+  /// that build; other keys proceed). Empty when the header could not be
+  /// precompiled: the caller compiles without it.
+  std::string headerFor(const Words &Cc, const Words &Flags) {
+    std::string Key = tmpDir();
+    for (const Words *Part : {&Cc, &Flags})
+      for (const std::string &W : *Part)
+        Key += '\n' + W;
+    Entry *E;
+    {
+      std::lock_guard<std::mutex> L(Mu);
+      std::unique_ptr<Entry> &Slot = Entries[Key];
+      if (!Slot)
+        Slot = std::make_unique<Entry>();
+      E = Slot.get();
+    }
+    std::lock_guard<std::mutex> L(E->Mu);
+    if (E->Tried && (E->Header.empty() || access((E->Header + ".gch").c_str(),
+                                                 R_OK) == 0))
+      return E->Header;
+    // First use, or the files vanished (a TMPDIR cleaner under a
+    // long-lived daemon): build.
+    E->Tried = true;
+    E->Header = build(Cc, Flags);
+    return E->Header;
+  }
+
+private:
+  struct Entry {
+    std::mutex Mu; ///< held across the build
+    bool Tried = false;
+    std::string Header; ///< empty: compile without a precompiled prologue
+  };
+
+  std::string build(const Words &Cc, const Words &Flags) {
+    static obs::Counter &Builds =
+        obs::Registry::global().counter("runtime.pch-builds");
+    Builds.add();
+    obs::ScopedSpan Span("pch-build", "runtime");
+    std::string Dir = makeTempDir("slingen_pch");
+    if (Dir.empty())
+      return {};
+    {
+      std::lock_guard<std::mutex> L(Mu);
+      if (Closed) {
+        removeTempDir(Dir);
+        return {};
+      }
+      Dirs.push_back(Dir);
+    }
+    std::string Header = Dir + "/slingen_prologue.h";
+    std::ofstream(Header) << PrologueText;
+    // Exactly the flags of the compiles that will use it: a compiler
+    // refuses a precompiled header built under different options.
+    Words Argv = Cc;
+    Argv.insert(Argv.end(), Flags.begin(), Flags.end());
+    for (const char *W : {"-x", "c-header"})
+      Argv.push_back(W);
+    Argv.push_back(Header);
+    Argv.push_back("-o");
+    Argv.push_back(Header + ".gch");
+    if (runProcess(Argv, Dir + "/pch.log") != 0) {
+      removeTempDir(Dir);
+      return {};
+    }
+    return Header;
+  }
+
+  void removeAll() {
+    std::lock_guard<std::mutex> L(Mu);
+    Closed = true;
+    for (const std::string &Dir : Dirs)
+      removeTempDir(Dir);
+  }
+
+  std::mutex Mu; ///< guards Entries, Dirs, Closed
+  std::map<std::string, std::unique_ptr<Entry>> Entries;
+  std::vector<std::string> Dirs;
+  bool Closed = false;
+};
 
 /// Appends the uniform trampolines to \p Out: `<func>_entry(double **)` for
 /// single-instance calls and, when requested, `<func>_batch_entry(int,
@@ -135,7 +317,7 @@ std::optional<JitKernel> JitKernel::compile(const std::string &CSource,
       obs::Registry::global().counter("runtime.jit-compiles");
   Compiles.add();
   obs::ScopedSpan Span("jit-compile", "runtime", &CompileUs);
-  std::string CDir = makeCompileDir();
+  std::string CDir = makeTempDir("slingen_cc");
   if (CDir.empty()) {
     Err = "cannot create compile directory in TMPDIR";
     return std::nullopt;
@@ -171,15 +353,30 @@ std::optional<JitKernel> JitKernel::compile(const std::string &CSource,
   // machines from a shared cache directory, so they get only the keyed
   // ISA's instruction sets (-mtune=native schedules for the builder
   // without enabling anything the cache key does not promise).
-  std::string Cmd = formatf(
-      "%s -O2 %s -fno-math-errno -shared -fPIC -o %s %s -lm %s > %s 2>&1",
-      compilerPath(), KeepSo ? "-mtune=native" : "-march=native",
-      SoPath.c_str(), CPath.c_str(), Opts.ExtraFlags.c_str(),
-      LogPath.c_str());
-  int Rc = system(Cmd.c_str());
-  if (Rc != 0) {
-    int Status = WIFEXITED(Rc) ? WEXITSTATUS(Rc) : Rc;
-    Err = formatf("C compiler failed (exit %d): %s", Status, Cmd.c_str());
+  const Words Cc = compilerWords();
+  const Words Extra = splitWords(Opts.ExtraFlags);
+  Words CodeFlags = {"-O2", KeepSo ? "-mtune=native" : "-march=native",
+                     "-fno-math-errno", "-fPIC"};
+  CodeFlags.insert(CodeFlags.end(), Extra.begin(), Extra.end());
+  std::string Prologue = PrologueRegistry::global().headerFor(Cc, CodeFlags);
+  Words Argv = Cc;
+  for (const char *W : {"-O2", KeepSo ? "-mtune=native" : "-march=native",
+                        "-fno-math-errno", "-shared", "-fPIC"})
+    Argv.push_back(W);
+  if (!Prologue.empty()) {
+    Argv.push_back("-include");
+    Argv.push_back(Prologue);
+  }
+  for (const std::string &W : {std::string("-o"), SoPath, CPath,
+                               std::string("-lm")})
+    Argv.push_back(W);
+  Argv.insert(Argv.end(), Extra.begin(), Extra.end());
+  obs::ScopedSpan CcSpan("cc", "runtime");
+  int Status = runProcess(Argv, LogPath);
+  CcSpan.finish();
+  if (Status != 0) {
+    Err = formatf("C compiler failed (exit %d): %s", Status,
+                  commandText(Argv).c_str());
     std::string Log = readFile(LogPath);
     if (!Log.empty())
       Err += "\n--- compiler output ---\n" + Log;
@@ -205,13 +402,24 @@ std::optional<JitKernel> JitKernel::compile(const std::string &CSource,
     return std::nullopt;
   }
 
+  obs::ScopedSpan DlopenSpan("dlopen", "runtime");
   auto K = load(FinalSoPath, FuncName, NumParams, Err, Opts.WithBatchEntry);
   if (!K) {
     unlink(FinalSoPath.c_str());
     return std::nullopt;
   }
-  K->OwnsSo = !KeepSo;
+  K->OwnsSo = !KeepSo || Opts.Provisional;
   return K;
+}
+
+bool JitKernel::publish(const std::string &Path, std::string &Err) {
+  if (rename(SoPath.c_str(), Path.c_str()) != 0) {
+    Err = "cannot publish " + Path;
+    return false;
+  }
+  SoPath = Path;
+  OwnsSo = false;
+  return true;
 }
 
 std::optional<JitKernel> JitKernel::loadFromBytes(const std::string &SoBytes,
@@ -293,11 +501,12 @@ std::string runtime::isaCompileFlags(const VectorISA &Isa) {
 }
 
 bool runtime::haveSystemCompiler() {
-  static int Cached = -1;
-  if (Cached < 0) {
-    std::string Cmd =
-        formatf("%s --version > /dev/null 2>&1", compilerPath());
-    Cached = system(Cmd.c_str()) == 0 ? 1 : 0;
-  }
-  return Cached == 1;
+  // A function-local static: initialized exactly once even when several
+  // threads miss concurrently on the first compile of the process.
+  static const bool Have = [] {
+    Words Argv = compilerWords();
+    Argv.push_back("--version");
+    return runProcess(Argv, "/dev/null") == 0;
+  }();
+  return Have;
 }

@@ -17,6 +17,16 @@
 /// kernel unloads; the KernelService disk tier instead compiles to (and
 /// reloads from) a persistent path it owns.
 ///
+/// The compiler is `cc`, or the whitespace-separated words of SLINGEN_CC
+/// (e.g. "sh wrapper.sh"); it is spawned directly with an argument vector,
+/// so paths containing spaces need no quoting. The prologue every emitted
+/// TU starts with (<math.h>, <immintrin.h>) is precompiled once per process
+/// for each compiler, flag set and TMPDIR, in a private directory there
+/// removed at exit, and force-included (-include) by every compile. When
+/// the header cannot be precompiled, compiles run without it; a compiler
+/// that ignores the precompiled form reads the same two includes as text.
+/// Either way the object bytes are the same.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef SLINGEN_RUNTIME_JIT_H
@@ -45,6 +55,11 @@ struct CompileOptions {
   /// Also emit and bind the `<func>_batch_entry(int, double *const *)`
   /// trampoline; requires the source to define `<func>_batch(int, ...)`.
   bool WithBatchEntry = false;
+  /// With KeepSoPath: the object is compiled there with the persistent
+  /// flags but removed when the kernel unloads, unless publish() moved it
+  /// first. Tuner candidates are compiled this way, beside the cache entry
+  /// the winner becomes.
+  bool Provisional = false;
 };
 
 /// A loaded kernel. Movable; unloads the shared object and (when it owns the
@@ -90,6 +105,11 @@ public:
                                                 int NumParams,
                                                 std::string &Err,
                                                 bool WithBatchEntry = false);
+
+  /// Renames the loaded shared object to \p Path (same filesystem) and
+  /// leaves it there when the kernel unloads: how a tuner's provisional
+  /// winner becomes its cache entry's object without compiling again.
+  bool publish(const std::string &Path, std::string &Err);
 
   /// Path of the loaded shared object (the cache-owned or temporary file
   /// this kernel was dlopen'd from); the sld server reads these bytes to
@@ -174,7 +194,8 @@ private:
 std::string isaCompileFlags(const VectorISA &Isa);
 
 /// True if a working system C compiler is available (used to skip the JIT
-/// integration tests in constrained environments).
+/// integration tests in constrained environments). Probed once per
+/// process, thread-safely.
 bool haveSystemCompiler();
 
 } // namespace runtime

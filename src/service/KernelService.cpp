@@ -373,6 +373,10 @@ ArtifactPtr KernelService::produce(const std::string &Key, const Generator &G,
   TO.MaxVariants = Cfg.MaxVariants;
   TO.Measure.Repeats = Cfg.MeasureRepeats;
   TO.ExtraFlags = IsaFlags;
+  if (Cache.hasDiskTier()) {
+    Cache.ensureEntryDir(Key);
+    TO.KeepSoPath = Cache.soPathFor(Key);
+  }
   std::optional<TuneResult> Tuned;
   if (Measure && Compile) {
     ++TunerRuns;
@@ -401,11 +405,17 @@ ArtifactPtr KernelService::produce(const std::string &Key, const Generator &G,
   // otherwise -- along with the dispatch width (threads) when the policy
   // is auto. The artifact records the strategy actually emitted: when the
   // instance-parallel emissions cannot widen, they degrade to the scalar
-  // loop and so does the label.
+  // loop and so does the label. A measuring tuner hands over its winner's
+  // object, compiled with the served options: the variant tuner's for
+  // plain requests, the strategy chooser's for batched Auto ones.
   BatchStrategy Strat = BatchStrategy::ScalarLoop;
   int BatchThreads = 1;
   std::string BatchedSource;
-  if (Batched) {
+  std::optional<cir::VerifyError> Rejected = Tuned->Rejected;
+  std::shared_ptr<runtime::JitKernel> Compiled = std::move(Tuned->Kernel);
+  if (Batched)
+    Compiled.reset(); // a single-instance object cannot serve a batch
+  if (Batched && !Rejected) {
     const int ThreadsPolicy = Req.Threads.value_or(Cfg.BatchThreads);
     Strat = Req.Strategy.value_or(Cfg.Strategy);
     if ((Strat == BatchStrategy::InstanceParallel ||
@@ -422,6 +432,8 @@ ArtifactPtr KernelService::produce(const std::string &Key, const Generator &G,
       Strat = BC.Strategy;
       BatchThreads = BC.Threads;
       BatchedSource = std::move(BC.ChosenSource); // winning TU, when emitted
+      Compiled = std::move(BC.Kernel);
+      Rejected = BC.Rejected;
     } else {
       // Pinned strategies keep the pinned (or single-threaded) width; only
       // Auto measures threading.
@@ -440,21 +452,22 @@ ArtifactPtr KernelService::produce(const std::string &Key, const Generator &G,
       if (!UsedVector)
         Strat = BatchStrategy::ScalarLoop;
     }
-    if (Strat == BatchStrategy::ScalarLoop)
+    if (Strat == BatchStrategy::ScalarLoop && !Compiled)
       BatchedSource = emitBatchedC(Tuned->Result);
   }
 
   // The verifier gate: no freshly generated C-IR reaches the JIT without
   // passing cir::verify -- the single-instance kernel and every widened
-  // batch variant the emission lowers. A violation is a generator or pass
-  // bug; it is refused as a structured error, never shipped as a kernel
-  // that could fault inside a dlopen'd object. (The disk-recompile path
-  // above re-compiles persisted C source that was generated from verified
-  // IR; there is no IR left to check there.) The "corrupt-ir" fault point
-  // deliberately breaks the IR so tests can drive this path end to end.
-  if (fault::shouldFire("corrupt-ir"))
-    Tuned->Result.Func.RegIsVec.push_back(false);
-  if (auto VE = verifyEmittedIR(Tuned->Result, &O, Batched, Strat)) {
+  // batch variant the emission lowers. The tuners verify each candidate
+  // before compiling it; this gate covers what is compiled below and
+  // source-only artifacts. A violation is a generator or pass bug; it is
+  // refused as a structured error, never shipped as a kernel that could
+  // fault inside a dlopen'd object. (The disk-recompile path above
+  // re-compiles persisted C source that was generated from verified IR;
+  // there is no IR left to check there.)
+  if (!Rejected)
+    Rejected = verifyBeforeCompile(Tuned->Result, O, Batched, Strat);
+  if (const std::optional<cir::VerifyError> &VE = Rejected) {
     M.VerifyRejected.add();
     obs::EventLog::global().log(
         obs::EventLog::Level::Error, obs::currentTraceId(), "verify_rejected",
@@ -481,14 +494,22 @@ ArtifactPtr KernelService::produce(const std::string &Key, const Generator &G,
   A->MeasuredCycles = Tuned->MedianCycles;
   A->CSource = Batched ? std::move(BatchedSource) : emitC(Tuned->Result);
 
-  if (Compile) {
+  if (Compiled) {
+    // The tuner's winner: publish its provisional object as the entry's
+    // (a rename beside it) instead of compiling the same source again.
+    std::string PublishErr;
+    if (Cache.hasDiskTier() &&
+        !Compiled->publish(Cache.soPathFor(Key), PublishErr)) {
+      Err = PublishErr;
+      Code = Errc::Internal;
+      return nullptr;
+    }
+    A->Kernel = std::move(Compiled);
+  } else if (Compile) {
     runtime::CompileOptions CO;
     CO.ExtraFlags = IsaFlags;
     CO.WithBatchEntry = Batched;
-    if (Cache.hasDiskTier()) {
-      Cache.ensureEntryDir(Key);
-      CO.KeepSoPath = Cache.soPathFor(Key);
-    }
+    CO.KeepSoPath = TO.KeepSoPath;
     std::string CompileErr;
     ++Compilations;
     obs::ScopedSpan Cc("compile", "service");

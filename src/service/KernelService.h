@@ -156,7 +156,12 @@ struct ServiceStats {
   long Misses = 0;       ///< neither tier had the key
   long FlightJoins = 0;  ///< requests that piggybacked on an in-flight miss
   long Generations = 0;  ///< times the generator pipeline actually ran
-  long Compilations = 0; ///< C compiler invocations for served artifacts
+  /// Compiler runs on the serving path: produce()'s compile of a served
+  /// translation unit and disk-tier recompiles. Tuner candidates are not
+  /// counted -- not even the winner a measured miss serves as compiled
+  /// (see TunerRuns) -- and neither are precompiled-header builds
+  /// (`runtime.pch-builds`).
+  long Compilations = 0;
   long TunerRuns = 0;    ///< measured-tuning sessions
   long Evictions = 0;    ///< memory-tier LRU evictions
   long Errors = 0;       ///< failed requests
@@ -193,7 +198,7 @@ struct RequestTiming {
   long DiskUs = 0;    ///< disk-tier probe + load (+ recompile if stale .so)
   long GenUs = 0;     ///< generator pipeline incl. measured variant tuning
   long TuneUs = 0;    ///< batch-strategy resolution (Auto measurement)
-  long CompileUs = 0; ///< C compiler invocations
+  long CompileUs = 0; ///< serving-path compiles (see Compilations)
   long TotalUs = 0;   ///< whole get(), end to end
 };
 

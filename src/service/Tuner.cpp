@@ -12,10 +12,15 @@
 #include "runtime/BatchPool.h"
 #include "runtime/Jit.h"
 #include "support/AlignedBuffer.h"
+#include "support/FaultInject.h"
+#include "support/Format.h"
 #include "support/Random.h"
 
 #include <algorithm>
+#include <atomic>
 #include <vector>
+
+#include <unistd.h>
 
 using namespace slingen;
 using namespace slingen::service;
@@ -76,6 +81,24 @@ void fillBuffers(const GenResult &R, std::vector<AlignedBuffer> &Store,
     Bufs.push_back(S.data());
 }
 
+/// Options for compiling one candidate exactly as the served artifact will
+/// be compiled (see TuneOptions::KeepSoPath): a provisional object beside
+/// the served path, named per process and candidate so concurrent tuners
+/// sharing a cache directory never collide.
+runtime::CompileOptions candidateOptions(const TuneOptions &T,
+                                         bool WithBatchEntry) {
+  static std::atomic<int> Seq{0};
+  runtime::CompileOptions CO;
+  CO.ExtraFlags = T.ExtraFlags;
+  CO.WithBatchEntry = WithBatchEntry;
+  if (!T.KeepSoPath.empty()) {
+    CO.KeepSoPath = T.KeepSoPath + formatf(".cand%d_%d", getpid(),
+                                           Seq.fetch_add(1));
+    CO.Provisional = true;
+  }
+  return CO;
+}
+
 } // namespace
 
 namespace {
@@ -111,6 +134,17 @@ struct BatchBuffers {
 };
 
 } // namespace
+
+std::optional<cir::VerifyError>
+service::verifyBeforeCompile(const GenResult &R, const GenOptions &O,
+                             bool Batched, BatchStrategy Strategy) {
+  if (fault::anyArmed() && fault::shouldFire("corrupt-ir")) {
+    cir::Function Broken = R.Func;
+    Broken.RegIsVec.push_back(false);
+    return cir::verifyFirst(Broken);
+  }
+  return verifyEmittedIR(R, &O, Batched, Strategy);
+}
 
 BatchChoice service::chooseBatchStrategy(const GenResult &R,
                                          const GenOptions &O,
@@ -162,11 +196,14 @@ BatchChoice service::chooseBatchStrategy(const GenResult &R,
   }
   std::string VecSource;
 
+  std::string LoopSource;
   auto TakeWinner = [&]() {
     if (C.Strategy == BatchStrategy::InstanceParallel)
       C.ChosenSource = std::move(VecSource);
     else if (C.Strategy == BatchStrategy::InstanceParallelFused)
       C.ChosenSource = std::move(FusedSource);
+    else
+      C.ChosenSource = std::move(LoopSource); // empty unless measured
   };
 
   // Measure when possible; running a wider ISA than the host executes
@@ -187,9 +224,6 @@ BatchChoice service::chooseBatchStrategy(const GenResult &R,
   const int ProbeCounts[2] = {64, 64 + Nu / 2};
   const std::string FuncName = R.Func.Name;
   const int NumParams = static_cast<int>(R.Func.Params.size());
-  runtime::CompileOptions CO;
-  CO.ExtraFlags = T.ExtraFlags;
-  CO.WithBatchEntry = true;
 
   struct Candidate {
     BatchStrategy Strategy;
@@ -198,7 +232,7 @@ BatchChoice service::chooseBatchStrategy(const GenResult &R,
     std::optional<runtime::JitKernel> Kernel;
     double Cycles = 0.0;
   };
-  std::string LoopSource = emitBatchedC(R);
+  LoopSource = emitBatchedC(R);
   Candidate Cands[] = {
       {BatchStrategy::ScalarLoop, &LoopSource, &C.LoopCycles, {}, 0.0},
       {BatchStrategy::InstanceParallel, &VecSource, &C.VecCycles, {}, 0.0},
@@ -208,9 +242,13 @@ BatchChoice service::chooseBatchStrategy(const GenResult &R,
   };
   Candidate *Best = nullptr;
   for (Candidate &Cand : Cands) {
+    if ((C.Rejected = verifyBeforeCompile(R, O, /*Batched=*/true,
+                                          Cand.Strategy)))
+      return C;
     std::string Err;
-    Cand.Kernel = runtime::JitKernel::compile(*Cand.Source, FuncName,
-                                              NumParams, CO, Err);
+    Cand.Kernel = runtime::JitKernel::compile(
+        *Cand.Source, FuncName, NumParams,
+        candidateOptions(T, /*WithBatchEntry=*/true), Err);
     if (!Cand.Kernel)
       continue;
     obs::ScopedSpan Meas(
@@ -271,6 +309,8 @@ BatchChoice service::chooseBatchStrategy(const GenResult &R,
       C.Threads = Threaded.Median < Single.Median ? N : 1;
     }
   }
+  // The losing candidates' provisional objects go with Cands.
+  C.Kernel = std::make_shared<runtime::JitKernel>(std::move(*Best->Kernel));
   TakeWinner();
   return C;
 }
@@ -297,13 +337,20 @@ std::optional<TuneResult> service::tuneKernel(const Generator &G,
   int TopK = std::min<int>(std::max(T.TopK, 1), static_cast<int>(All.size()));
   int BestIdx = -1;
   double BestCycles = 0.0;
+  std::optional<runtime::JitKernel> BestKernel;
   std::string LastCompileErr;
+  const GenOptions &O = G.options();
   for (int I = 0; I < TopK; ++I) {
+    if ((Best.Rejected = verifyBeforeCompile(All[I], O, /*Batched=*/false,
+                                             BatchStrategy::ScalarLoop))) {
+      Best.Result = std::move(All[I]);
+      return Best;
+    }
     std::string C = emitC(All[I]);
     std::string CompileErr;
     auto K = runtime::JitKernel::compile(
         C, All[I].Func.Name, static_cast<int>(All[I].Func.Params.size()),
-        CompileErr, T.ExtraFlags);
+        candidateOptions(T, /*WithBatchEntry=*/false), CompileErr);
     if (!K) {
       LastCompileErr = CompileErr;
       continue;
@@ -320,6 +367,7 @@ std::optional<TuneResult> service::tuneKernel(const Generator &G,
     if (BestIdx < 0 || M.Median < BestCycles) {
       BestIdx = I;
       BestCycles = M.Median;
+      BestKernel = std::move(K); // drops the previous leader's object
     }
   }
 
@@ -333,5 +381,6 @@ std::optional<TuneResult> service::tuneKernel(const Generator &G,
   Best.Result = std::move(All[BestIdx]);
   Best.Measured = true;
   Best.MedianCycles = BestCycles;
+  Best.Kernel = std::make_shared<runtime::JitKernel>(std::move(*BestKernel));
   return Best;
 }

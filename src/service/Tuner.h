@@ -18,9 +18,12 @@
 #ifndef SLINGEN_SERVICE_TUNER_H
 #define SLINGEN_SERVICE_TUNER_H
 
+#include "cir/Verify.h"
+#include "runtime/Jit.h"
 #include "runtime/Timing.h"
 #include "slingen/SLinGen.h"
 
+#include <memory>
 #include <optional>
 #include <string>
 
@@ -33,6 +36,14 @@ struct TuneOptions {
   runtime::MeasureOptions Measure{/*Repeats=*/9, /*Warmup=*/2,
                                   /*MinCycles=*/10000};
   std::string ExtraFlags; ///< compiler flags (e.g. isaCompileFlags)
+  /// The path the served object will be published at (the disk tier's
+  /// `.so`), or empty for a process-local temporary. Candidates are
+  /// compiled exactly as the served artifact will be: beside this path
+  /// with the persistent flags (as provisional objects, see
+  /// runtime::CompileOptions), or as temporaries when empty. So the tuner
+  /// ranks the objects that are served, and its winner can be served
+  /// without compiling it again.
+  std::string KeepSoPath;
 };
 
 struct TuneResult {
@@ -40,7 +51,25 @@ struct TuneResult {
   bool Measured = false;      ///< ranking came from real timings
   double MedianCycles = 0.0;  ///< winner's median (when Measured)
   int CandidatesMeasured = 0; ///< JIT compiles the tuner performed
+  /// The winner's loaded single-instance object (when Measured), compiled
+  /// with the served options; provisional until published.
+  std::shared_ptr<runtime::JitKernel> Kernel;
+  /// Set when a candidate failed static verification (see
+  /// verifyBeforeCompile): tuning stopped before compiling it, and the
+  /// request must be refused.
+  std::optional<cir::VerifyError> Rejected;
 };
+
+/// The verifier gate every freshly generated emission passes before it is
+/// compiled -- each tuner candidate, each batch-strategy probe, and the
+/// served artifact: verifyEmittedIR over \p R as emitted for \p Batched
+/// and \p Strategy. The `corrupt-ir` fault point breaks a copy of the
+/// function's register file here, so tests drive a rejection through
+/// whichever gate a request reaches first.
+std::optional<cir::VerifyError> verifyBeforeCompile(const GenResult &R,
+                                                    const GenOptions &O,
+                                                    bool Batched,
+                                                    BatchStrategy Strategy);
 
 /// Picks the best variant of \p G. Returns std::nullopt (with \p Err) only
 /// when no variant can be generated at all.
@@ -65,17 +94,24 @@ struct BatchChoice {
   bool ThreadsMeasured = false;
   double SingleCycles = 0.0;   ///< winner at the large batch, one thread
   double ThreadedCycles = 0.0; ///< winner at the large batch, Threads wide
-  /// The winning translation unit when Strategy is not ScalarLoop and the
-  /// chooser already produced the emission (to measure it), so the service
-  /// does not regenerate it. Empty otherwise.
+  /// The winning translation unit when the chooser already produced the
+  /// emission (every measured choice, and a static vec/fused choice), so
+  /// the service does not regenerate it. Empty otherwise.
   std::string ChosenSource;
+  /// The winner's loaded batched object (when Measured), compiled from
+  /// ChosenSource with the served options; provisional until published.
+  std::shared_ptr<runtime::JitKernel> Kernel;
+  /// Set when a strategy's emission failed static verification; nothing
+  /// after it was compiled, and the request must be refused.
+  std::optional<cir::VerifyError> Rejected;
 };
 
 /// Resolves BatchStrategy::Auto for the tuned kernel \p R generated under
 /// \p O: when a compiler, a cycle counter, and a host that can execute the
 /// target ISA are all available (and \p AllowCompile), all three batched
 /// emissions -- the scalar loop, the packed instance-parallel form, and
-/// the fused-layout form -- are JIT-compiled and timed over two
+/// the fused-layout form -- are verified, JIT-compiled with the served
+/// options (see TuneOptions::KeepSoPath) and timed over two
 /// deterministic instance batches (one divisible by every supported Nu,
 /// one remainder-heavy to exercise the masked tail) and the lowest summed
 /// median wins; otherwise the static

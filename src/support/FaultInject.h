@@ -27,6 +27,8 @@
 ///   torn-write        KernelCache storeToDisk: publish a truncated .c
 ///   eio-on-store      KernelCache storeToDisk: fail as if the disk errored
 ///   slow-generate     KernelService produce: sleep `ms` before generating
+///   corrupt-ir        service verifyBeforeCompile: verify a copy of the
+///                     function with a broken register file
 ///
 //===----------------------------------------------------------------------===//
 

@@ -10,12 +10,17 @@
 // logic is exercised everywhere.
 //===----------------------------------------------------------------------===//
 
+#include "expr/Evaluator.h"
 #include "la/Lower.h"
 #include "la/Programs.h"
+#include "obs/Metrics.h"
 #include "runtime/Timing.h"
 #include "service/KernelService.h"
+#include "slingen/client.h"
 #include "support/AlignedBuffer.h"
 #include "slingen/SLinGen.h"
+#include "support/FaultInject.h"
+#include "support/File.h"
 #include "support/Hash.h"
 #include "support/Random.h"
 
@@ -25,7 +30,10 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <thread>
 #include <vector>
 
@@ -540,6 +548,261 @@ TEST(ServiceTuner, MeasuresAndPersistsWinningChoice) {
   EXPECT_TRUE(R2->Measured);
   EXPECT_EQ(R2->Choice, R->Choice);
   EXPECT_NEAR(R2->MeasuredCycles, R->MeasuredCycles, 1e-6);
+}
+
+//===----------------------------------------------------------------------===//
+// Cold-path compile accounting: every candidate is compiled once, with the
+// served options, and the tuner's winner is served as compiled.
+//===----------------------------------------------------------------------===//
+
+/// Installs a SLINGEN_CC wrapper that logs each compiler invocation's
+/// arguments, for the life of the object.
+struct CcLog {
+  CcLog() {
+    std::string Wrapper = Dir.Path + "/cc_log.sh";
+    std::ofstream(Wrapper) << "printf '%s\\n' \"$*\" >> " << Dir.Path
+                           << "/cc.log\nexec cc \"$@\"\n";
+    if (const char *Old = getenv("SLINGEN_CC"))
+      Saved = Old;
+    setenv("SLINGEN_CC", ("sh " + Wrapper).c_str(), 1);
+  }
+  ~CcLog() {
+    if (Saved.empty())
+      unsetenv("SLINGEN_CC");
+    else
+      setenv("SLINGEN_CC", Saved.c_str(), 1);
+  }
+  /// Logged kernel compiles (precompiled-header builds are not linked
+  /// with -shared, so they are not counted).
+  std::vector<std::string> compiles() const {
+    std::vector<std::string> Out;
+    std::istringstream In(readFile(Dir.Path + "/cc.log"));
+    for (std::string Line; std::getline(In, Line);)
+      if (Line.find(" -shared ") != std::string::npos)
+        Out.push_back(Line);
+    return Out;
+  }
+  TempDir Dir;
+  std::string Saved;
+};
+
+/// The number of variants a measured miss of \p Src compiles and times.
+int measuredVariants(const std::string &Src, const GenOptions &O,
+                     const ServiceConfig &C) {
+  std::string Err;
+  auto P = la::compileLa(Src, Err);
+  EXPECT_TRUE(P) << Err;
+  Generator G(std::move(*P), O);
+  return std::min<int>(C.TuneTopK,
+                       static_cast<int>(G.enumerate(C.MaxVariants).size()));
+}
+
+/// Max deviation of potrf artifact \p A from the evaluator oracle over
+/// \p Count instances (one plain call when \p A is not batched).
+double potrfError(const KernelArtifact &A, int N, int Count) {
+  std::string Err;
+  auto Ref = la::compileLa(la::potrfSource(N), Err);
+  EXPECT_TRUE(Ref) << Err;
+  const size_t Sz = static_cast<size_t>(N) * N;
+  AlignedBuffer In(Count * Sz), Out(Count * Sz);
+  std::vector<std::vector<double>> Want;
+  for (int B = 0; B < Count; ++B) {
+    Rng Rand(700 + B);
+    std::vector<double> Spd = spd(N, Rand);
+    std::copy(Spd.begin(), Spd.end(), In.begin() + B * Sz);
+    Env E;
+    E.set(Ref->findOperand("A"), Spd);
+    evalProgram(*Ref, E);
+    Want.push_back(E.get(Ref->findOperand("X")));
+  }
+  std::fill(Out.begin(), Out.end(), 0.0);
+  double *Bufs[2] = {In.data(), Out.data()};
+  if (A.Batched)
+    A.callBatch(Count, Bufs);
+  else
+    A.call(Bufs);
+  double MaxErr = 0.0;
+  for (int B = 0; B < Count; ++B)
+    for (size_t I = 0; I < Sz; ++I)
+      MaxErr = std::max(MaxErr, std::fabs(Out.data()[B * Sz + I] -
+                                          Want[B][I]));
+  return MaxErr;
+}
+
+/// The object a measured miss stored is the tuner winner's: the served
+/// kernel was loaded from the entry's .so, no compile wrote that path
+/// directly (every compile targeted a provisional candidate), no candidate
+/// is left behind, and the bytes are exactly what compiling the served
+/// source with the served options gives. A fresh service then reloads the
+/// entry through its content-hash check, and both kernels are correct.
+void expectServedAsCompiled(const std::string &Dir, const std::string &Src,
+                            const GenOptions &O, const RequestOptions &Req,
+                            const GetResult &R, const CcLog &Log, int Count) {
+  const std::string So = shardedPath(Dir, R->Key, ".so");
+  ASSERT_TRUE(R->isCallable());
+  EXPECT_EQ(R->Kernel->soPath(), So);
+  for (const std::string &Line : Log.compiles())
+    EXPECT_NE(Line.find(".cand"), std::string::npos) << Line;
+  for (const auto &E : std::filesystem::directory_iterator(
+           std::filesystem::path(So).parent_path()))
+    EXPECT_EQ(E.path().string().find(".cand"), std::string::npos)
+        << E.path();
+
+  runtime::CompileOptions CO;
+  CO.ExtraFlags = runtime::isaCompileFlags(hostIsa());
+  CO.WithBatchEntry = R->Batched;
+  CO.KeepSoPath = Log.Dir.Path + "/fresh.so";
+  std::string Err;
+  auto Fresh = runtime::JitKernel::compile(R->CSource, R->FuncName,
+                                           R->NumParams, CO, Err);
+  ASSERT_TRUE(Fresh) << Err;
+  EXPECT_TRUE(readFile(So) == readFile(CO.KeepSoPath))
+      << "the stored object is not the served source under served flags";
+  EXPECT_NE(readFile(shardedPath(Dir, R->Key, ".meta")).find("so-hash="),
+            std::string::npos);
+
+  ServiceConfig C2;
+  C2.CacheDir = Dir;
+  KernelService S2(C2);
+  GetResult R2 = S2.get(Src, O, Req);
+  ASSERT_TRUE(R2) << R2.Error;
+  EXPECT_EQ(S2.stats().DiskHits, 1);
+  EXPECT_EQ(S2.stats().Quarantined, 0);
+  EXPECT_EQ(S2.stats().Generations, 0);
+  EXPECT_EQ(S2.stats().Compilations, 0);
+  ASSERT_TRUE(R2->isCallable());
+  EXPECT_LT(potrfError(*R, 8, Count), 1e-10);
+  EXPECT_LT(potrfError(*R2, 8, Count), 1e-10);
+}
+
+bool canMeasure() {
+  return runtime::haveSystemCompiler() && runtime::haveCycleCounter();
+}
+
+TEST(ServiceTuner, MeasuredBatchedMissCompilesEachCandidateOnce) {
+  if (!canMeasure() || hostIsa().Nu < 2)
+    GTEST_SKIP() << "needs a compiler, a cycle counter and vector lanes";
+  TempDir Dir;
+  ServiceConfig C;
+  C.Measure = true;
+  C.CacheDir = Dir.Path;
+  C.MeasureRepeats = 3;
+  std::string Src = la::potrfSource(8);
+  GenOptions O = hostOpts("potrf_once_b");
+  const int Variants = measuredVariants(Src, O, C);
+  CcLog Log;
+  KernelService S(C);
+  RequestOptions Req;
+  Req.Batched = true;
+  GetResult R = S.get(Src, O, Req);
+  ASSERT_TRUE(R) << R.Error;
+  EXPECT_TRUE(R->Measured);
+  // The measured variants, then the loop/vec/fused probes; the winning
+  // probe is what is served, so nothing is compiled a second time.
+  EXPECT_EQ(static_cast<int>(Log.compiles().size()), Variants + 3);
+  EXPECT_EQ(S.stats().Compilations, 0);
+  EXPECT_EQ(R.Timing.CompileUs, 0);
+  expectServedAsCompiled(Dir.Path, Src, O, Req, R, Log, 2 * hostIsa().Nu + 3);
+}
+
+TEST(ServiceTuner, MeasuredMissServesTheVariantWinnerAsCompiled) {
+  if (!canMeasure())
+    GTEST_SKIP() << "needs a compiler and a cycle counter";
+  TempDir Dir;
+  ServiceConfig C;
+  C.Measure = true;
+  C.CacheDir = Dir.Path;
+  C.MeasureRepeats = 3;
+  std::string Src = la::potrfSource(8);
+  GenOptions O = hostOpts("potrf_once");
+  const int Variants = measuredVariants(Src, O, C);
+  CcLog Log;
+  KernelService S(C);
+  GetResult R = S.get(Src, O);
+  ASSERT_TRUE(R) << R.Error;
+  EXPECT_TRUE(R->Measured);
+  EXPECT_EQ(static_cast<int>(Log.compiles().size()), Variants);
+  EXPECT_EQ(S.stats().Compilations, 0);
+  expectServedAsCompiled(Dir.Path, Src, O, {}, R, Log, 1);
+}
+
+TEST(ServiceTuner, CorruptIRReachesNoCompile) {
+  if (!canMeasure() || hostIsa().Nu < 2)
+    GTEST_SKIP() << "needs a compiler, a cycle counter and vector lanes";
+  obs::Counter &Compiles =
+      obs::Registry::global().counter("runtime.jit-compiles");
+  // Measured: the first gate is the variant tuner's; unmeasured batched
+  // Auto: the strategy chooser's first probe.
+  for (bool Measure : {true, false}) {
+    SCOPED_TRACE(Measure ? "measured" : "strategy probes only");
+    ServiceConfig C;
+    C.Measure = Measure;
+    C.MeasureRepeats = 3;
+    KernelService S(C);
+    RequestOptions Req;
+    Req.Batched = true;
+    GenOptions O = hostOpts(Measure ? "potrf_cir_m" : "potrf_cir_s");
+    const int64_t Before = Compiles.value();
+    fault::arm("corrupt-ir", /*Count=*/1);
+    GetResult R = S.get(la::potrfSource(6), O, Req);
+    fault::reset();
+    EXPECT_FALSE(R);
+    EXPECT_EQ(R.Code, Errc::InvalidKernelIR) << R.Error;
+    EXPECT_EQ(Compiles.value(), Before) << "a candidate reached jit-compile";
+    GetResult Again = S.get(la::potrfSource(6), O, Req);
+    EXPECT_TRUE(Again) << Again.Error;
+  }
+}
+
+/// Body of the first-compile test, run in a fresh process: four `local:`
+/// sessions miss at once on the first compiles of the process.
+[[noreturn]] void firstCompilesOfProcess() {
+  int Failures = 0;
+  {
+    TempDir Dir;
+    const int NumSessions = 4;
+    std::atomic<int> Ready{0};
+    std::vector<int> Ok(NumSessions, 0);
+    std::vector<std::thread> Threads;
+    for (int I = 0; I < NumSessions; ++I)
+      Threads.emplace_back([&, I] {
+        auto S = sl::Session::open("local:" + Dir.Path + "/s" +
+                                   std::to_string(I));
+        auto Req = sl::RequestBuilder()
+                       .source(la::potrfSource(4))
+                       .name("first" + std::to_string(I))
+                       .measure(false)
+                       .build();
+        Ready.fetch_add(1);
+        while (Ready.load() < NumSessions)
+          std::this_thread::yield();
+        Ok[I] = S && Req && S->get(*Req);
+      });
+    for (auto &T : Threads)
+      T.join();
+    if (runtime::haveSystemCompiler()) {
+      for (int I = 0; I < NumSessions; ++I)
+        if (!Ok[I]) {
+          fprintf(stderr, "session %d failed\n", I);
+          ++Failures;
+        }
+      int64_t Builds =
+          obs::Registry::global().counter("runtime.pch-builds").value();
+      if (Builds != 1) {
+        fprintf(stderr, "%lld prologue builds, want 1\n",
+                static_cast<long long>(Builds));
+        ++Failures;
+      }
+    }
+  }
+  std::exit(Failures == 0 ? 0 : 1);
+}
+
+TEST(ServiceFlight, ConcurrentFirstCompilesBuildOnePrologue) {
+  // A fresh process, so these really are the first compiles (and the
+  // first compiler probe) it makes.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_EXIT(firstCompilesOfProcess(), ::testing::ExitedWithCode(0), "");
 }
 
 TEST(ServiceBatch, DispatchMatchesIndividualCalls) {

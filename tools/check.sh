@@ -59,6 +59,27 @@ fi
 echo "== ctest =="
 (cd "$BUILD" && ctest --output-on-failure -j "$JOBS")
 
+echo "== JIT under a TMPDIR with a space =="
+# The compiler is spawned with an argument vector, so staging paths (and
+# the precompiled prologue under TMPDIR) need no quoting.
+SPACE_TMP=$(mktemp -d)
+mkdir "$SPACE_TMP/sp ace"
+TMPDIR="$SPACE_TMP/sp ace" "$BUILD/tests/jit_test" > "$SPACE_TMP/log" 2>&1 \
+  || { cat "$SPACE_TMP/log"; exit 1; }
+TMPDIR="$SPACE_TMP/sp ace" "$BUILD/tests/service_test" > "$SPACE_TMP/log" 2>&1 \
+  || { cat "$SPACE_TMP/log"; exit 1; }
+rm -rf "$SPACE_TMP"
+
+if [ -z "$SANITIZE" ]; then
+  echo "== slbench smoke =="
+  # The benchmark package builds the library from these sources; its
+  # smoke run (all four workloads at toy sizes) fails on any program
+  # change that breaks it.
+  cmake -S "$ROOT/slbench" -B "$BUILD/slbench" > /dev/null
+  cmake --build "$BUILD/slbench" -j "$JOBS" > /dev/null
+  ctest --test-dir "$BUILD/slbench" -L bench --output-on-failure
+fi
+
 echo "== slc smoke =="
 SMOKE_OUT=$(mktemp)
 SMOKE_CACHE=$(mktemp -d)
