@@ -5,11 +5,13 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Unparses a C-IR function into single-source C (paper Stage 3). Vector
-/// instructions map to AVX/AVX2 (nu = 4) or SSE2 (nu = 2) intrinsics;
-/// leftover lanes use masked loads/stores; VShuffle is lowered to
-/// blend/permute sequences (the output of the load/store analysis,
-/// paper Fig. 12b).
+/// Unparses a C-IR function into single-source C (paper Stage 3). Each
+/// vector instruction maps to the intrinsics of its register width --
+/// AVX-512F (8 lanes), AVX/AVX2 (4) or SSE2 (2), the narrower ones as the
+/// VEX forms the function's ISA enables -- and FMAs are fused exactly when
+/// that ISA has FMA; leftover lanes use masked loads/stores; VShuffle is
+/// lowered to blend/permute sequences (the output of the load/store
+/// analysis, paper Fig. 12b).
 ///
 //===----------------------------------------------------------------------===//
 

@@ -20,6 +20,8 @@ bool cir::isStore(Op O) {
 
 bool cir::hasDst(Op O) { return !isStore(O); }
 
+bool cir::isVector(Op O) { return O >= Op::VConst; }
+
 bool cir::isPure(Op O) {
   switch (O) {
   case Op::SStore:
@@ -65,6 +67,10 @@ static const char *opName(Op K) {
     return "ssqrt";
   case Op::SNeg:
     return "sneg";
+  case Op::SFma:
+    return "sfma";
+  case Op::SFnma:
+    return "sfnma";
   case Op::VConst:
     return "vconst";
   case Op::VLoad:
@@ -149,6 +155,8 @@ std::string Inst::str() const {
     S += "]";
     break;
   }
+  case Op::SFma:
+  case Op::SFnma:
   case Op::VFma:
   case Op::VFnma:
     S += formatf(" r%d, r%d, r%d", A, B, C);
@@ -203,12 +211,12 @@ FuncBuilder::FuncBuilder(std::string Name, int Nu) {
 }
 
 int FuncBuilder::newSReg() {
-  F.RegIsVec.push_back(false);
+  F.RegWidth.push_back(1);
   return F.NumRegs++;
 }
 
-int FuncBuilder::newVReg() {
-  F.RegIsVec.push_back(true);
+int FuncBuilder::newVReg(int Width) {
+  F.RegWidth.push_back(Width ? Width : F.Nu);
   return F.NumRegs++;
 }
 
@@ -300,27 +308,27 @@ int FuncBuilder::sneg(int A) {
   return emit(std::move(I));
 }
 
-int FuncBuilder::vconst(double V) {
+int FuncBuilder::vconst(double V, int Width) {
   Inst I;
-    I.K = Op::VConst;
-  I.Dst = newVReg();
+  I.K = Op::VConst;
+  I.Dst = newVReg(Width);
   I.Imm = V;
   return emit(std::move(I));
 }
 
-int FuncBuilder::vload(Addr A, int Lanes) {
+int FuncBuilder::vload(Addr A, int Lanes, int Width) {
   Inst I;
-    I.K = Op::VLoad;
-  I.Dst = newVReg();
+  I.K = Op::VLoad;
+  I.Dst = newVReg(Width);
   I.Address = std::move(A);
   I.Lanes = Lanes;
   return emit(std::move(I));
 }
 
-int FuncBuilder::vloadStrided(Addr A, int Stride, int Lanes) {
+int FuncBuilder::vloadStrided(Addr A, int Stride, int Lanes, int Width) {
   Inst I;
-    I.K = Op::VLoadStrided;
-  I.Dst = newVReg();
+  I.K = Op::VLoadStrided;
+  I.Dst = newVReg(Width);
   I.Address = std::move(A);
   I.Stride = Stride;
   I.Lanes = Lanes;
@@ -367,10 +375,10 @@ void FuncBuilder::vstoreStridedMasked(Addr A, int Val, int Stride,
   emit(std::move(I));
 }
 
-int FuncBuilder::vbroadcast(int SReg) {
+int FuncBuilder::vbroadcast(int SReg, int Width) {
   Inst I;
-    I.K = Op::VBroadcast;
-  I.Dst = newVReg();
+  I.K = Op::VBroadcast;
+  I.Dst = newVReg(Width);
   I.A = SReg;
   return emit(std::move(I));
 }
@@ -378,7 +386,7 @@ int FuncBuilder::vbroadcast(int SReg) {
 int FuncBuilder::vbin(Op K, int A, int B) {
   Inst I;
   I.K = K;
-  I.Dst = newVReg();
+  I.Dst = newVReg(width(A));
   I.A = A;
   I.B = B;
   return emit(std::move(I));
@@ -386,8 +394,8 @@ int FuncBuilder::vbin(Op K, int A, int B) {
 
 int FuncBuilder::vfma(int A, int B, int C) {
   Inst I;
-    I.K = Op::VFma;
-  I.Dst = newVReg();
+  I.K = Op::VFma;
+  I.Dst = newVReg(width(A));
   I.A = A;
   I.B = B;
   I.C = C;
@@ -397,7 +405,7 @@ int FuncBuilder::vfma(int A, int B, int C) {
 int FuncBuilder::vfnma(int A, int B, int C) {
   Inst I;
   I.K = Op::VFnma;
-  I.Dst = newVReg();
+  I.Dst = newVReg(width(A));
   I.A = A;
   I.B = B;
   I.C = C;
@@ -450,10 +458,9 @@ int FuncBuilder::vreduceAdd(int A) {
 }
 
 int FuncBuilder::vshuffle(int A, int B, std::vector<int> Sel) {
-  assert(static_cast<int>(Sel.size()) == F.Nu && "selector size != nu");
   Inst I;
-    I.K = Op::VShuffle;
-  I.Dst = newVReg();
+  I.K = Op::VShuffle;
+  I.Dst = newVReg(static_cast<int>(Sel.size()));
   I.A = A;
   I.B = B;
   I.Sel = std::move(Sel);

@@ -30,7 +30,13 @@ namespace slingen {
 namespace cir {
 
 /// Instruction opcodes. The S* family operates on scalar registers, the V*
-/// family on vector registers of the function's vector width Nu.
+/// family on vector registers. Every vector register carries its own width
+/// (Function::RegWidth: 2, 4 or 8 lanes, at most the function's Nu), and a
+/// V* instruction operates at the width of its vector operands, which must
+/// agree. Two things follow the function's Nu (its ISA) rather than the
+/// instruction's width: FMA rounding (VFma/VFnma/SFma/SFnma are single-
+/// rounded when Nu >= 4, mul-then-add otherwise) and the intrinsic set the
+/// C emitter may use.
 enum class Op {
   // Scalar.
   SConst, ///< Dst = Imm
@@ -42,6 +48,8 @@ enum class Op {
   SDiv,
   SSqrt, ///< Dst = sqrt(A)
   SNeg,
+  SFma,  ///< Dst = A * B + C (single rounding when Nu >= 4)
+  SFnma, ///< Dst = C - A * B (single rounding when Nu >= 4)
   // Vector.
   VConst,       ///< Dst = splat(Imm)
   VLoad,        ///< Dst = contiguous load of Lanes elements (rest zero)
@@ -64,10 +72,15 @@ enum class Op {
   VFma,       ///< Dst = A * B + C (single rounding when Nu >= 4)
   VFnma,      ///< Dst = C - A * B (fnmadd; single rounding when Nu >= 4)
   VExtract,   ///< scalar Dst = A[Lane]
-  VReduceAdd, ///< scalar Dst = sum of lanes of A
-  VShuffle,   ///< Dst[i] = select(Sel[i]): 0..Nu-1 from A, Nu..2Nu-1 from B,
-              ///< -1 produces 0.0 (covers blends, permutes, zeroing)
+  VReduceAdd, ///< scalar Dst = sum of lanes of A, as a halving tree:
+              ///< lane i += lane i + W/2 until one lane is left
+  VShuffle,   ///< Dst[i] = select(Sel[i]): 0..Ws-1 from A, Ws..2Ws-1 from
+              ///< B, -1 produces 0.0 (covers blends, permutes, zeroing).
+              ///< A and B share a width Ws, which may differ from Dst's.
 };
+
+/// True for the V* family (instructions that need a vector ISA).
+bool isVector(Op O);
 
 bool isStore(Op O);
 bool hasDst(Op O);
@@ -97,7 +110,7 @@ struct Inst {
   double Imm = 0.0;
   int Lanes = 0;  ///< active lanes for loads/stores; Lane for VExtract
   int Stride = 0; ///< element stride for strided access
-  std::vector<int> Sel; ///< VShuffle selector (size Nu)
+  std::vector<int> Sel; ///< VShuffle selector (one entry per lane)
 
   std::string str() const;
 };
@@ -129,7 +142,7 @@ struct Function {
   /// zero-initialized stack arrays in C, allocated by the interpreter.
   std::vector<const Operand *> Locals;
   std::vector<Node> Body;
-  int Nu = 1;       ///< vector width the V* instructions assume
+  int Nu = 1;       ///< the ISA's vector width: the widest register allowed
   /// True for masked batch-tail kernels: the C prototype gains a trailing
   /// `int active_` lane-count parameter consumed by the *Masked ops, and
   /// the interpreter takes the active lane count as an extra argument.
@@ -141,7 +154,10 @@ struct Function {
   int LocalVecWidth = 1;
   int NumRegs = 0;  ///< scalar+vector register count (ids are shared)
   int NumVars = 0;  ///< loop variable count
-  std::vector<bool> RegIsVec;
+  /// Lanes per register: 1 for scalar registers, 2/4/8 for vector ones.
+  std::vector<int> RegWidth;
+
+  bool isVecReg(int R) const { return RegWidth[R] > 1; }
 
   std::string str() const;
 };
@@ -152,7 +168,8 @@ public:
   FuncBuilder(std::string Name, int Nu);
 
   int newSReg();
-  int newVReg();
+  /// A vector register of \p Width lanes (0 = the function's Nu).
+  int newVReg(int Width = 0);
 
   /// Emits an instruction into the current block and returns its Dst.
   int emit(Inst I);
@@ -167,21 +184,22 @@ public:
   Addr addr(const Operand *Op, int Const,
             std::vector<std::pair<int, int>> Terms = {}) const;
 
-  // Convenience wrappers.
+  // Convenience wrappers. Vector producers without vector operands take the
+  // register width (0 = the function's Nu); the others inherit it from A.
   int sconst(double V);
   int sload(Addr A);
   void sstore(Addr A, int Val);
   int sbin(Op K, int A, int B);
   int ssqrt(int A);
   int sneg(int A);
-  int vconst(double V);
-  int vload(Addr A, int Lanes);
-  int vloadStrided(Addr A, int Stride, int Lanes);
+  int vconst(double V, int Width = 0);
+  int vload(Addr A, int Lanes, int Width = 0);
+  int vloadStrided(Addr A, int Stride, int Lanes, int Width = 0);
   int vloadStridedMasked(Addr A, int Stride, int Lanes);
   void vstore(Addr A, int Val, int Lanes);
   void vstoreStrided(Addr A, int Val, int Stride, int Lanes);
   void vstoreStridedMasked(Addr A, int Val, int Stride, int Lanes);
-  int vbroadcast(int SReg);
+  int vbroadcast(int SReg, int Width = 0);
   int vbin(Op K, int A, int B);
   int vfma(int A, int B, int C);
   int vfnma(int A, int B, int C);
@@ -197,6 +215,7 @@ public:
   Function take(std::vector<const Operand *> Params);
 
   int nu() const { return F.Nu; }
+  int width(int Reg) const { return F.RegWidth[Reg]; }
 
 private:
   Function F;

@@ -59,8 +59,24 @@ private:
     }
   }
 
+  /// FMA rounding follows the function's ISA, not the instruction's width:
+  /// single-rounded on AVX/AVX-512 (Nu >= 4), mul then add on SSE2 and in
+  /// scalar functions -- exactly what the C emitter writes.
+  double fmadd(double A, double B, double C) const {
+    return F.Nu >= 4 ? std::fma(A, B, C) : A * B + C;
+  }
+  double fnmadd(double A, double B, double C) const {
+    return F.Nu >= 4 ? std::fma(-A, B, C) : C - A * B;
+  }
+
   void exec(const Inst &I) {
-    int Nu = F.Nu;
+    // Vector instructions run at the width of their vector operand (or
+    // destination); the verifier guarantees all of them agree.
+    int Nu = 1;
+    if (hasDst(I.K) && I.Dst >= 0 && F.isVecReg(I.Dst))
+      Nu = F.RegWidth[I.Dst];
+    else if (I.A >= 0 && F.isVecReg(I.A))
+      Nu = F.RegWidth[I.A];
     switch (I.K) {
     case Op::SConst:
       reg(I.Dst)[0] = I.Imm;
@@ -88,6 +104,12 @@ private:
       break;
     case Op::SNeg:
       reg(I.Dst)[0] = -reg(I.A)[0];
+      break;
+    case Op::SFma:
+      reg(I.Dst)[0] = fmadd(reg(I.A)[0], reg(I.B)[0], reg(I.C)[0]);
+      break;
+    case Op::SFnma:
+      reg(I.Dst)[0] = fnmadd(reg(I.A)[0], reg(I.B)[0], reg(I.C)[0]);
       break;
     case Op::VConst:
       for (int L = 0; L < Nu; ++L)
@@ -164,40 +186,39 @@ private:
         reg(I.Dst)[L] = -reg(I.A)[L];
       break;
     case Op::VFma:
-      // Mirrors the C emitter's per-width lowering: single-rounded fmadd on
-      // AVX/AVX-512 (Nu >= 4), unfused mul+add on SSE2 (Nu == 2).
       for (int L = 0; L < Nu; ++L)
-        reg(I.Dst)[L] = Nu >= 4
-                            ? std::fma(reg(I.A)[L], reg(I.B)[L], reg(I.C)[L])
-                            : reg(I.A)[L] * reg(I.B)[L] + reg(I.C)[L];
+        reg(I.Dst)[L] = fmadd(reg(I.A)[L], reg(I.B)[L], reg(I.C)[L]);
       break;
     case Op::VFnma:
       for (int L = 0; L < Nu; ++L)
-        reg(I.Dst)[L] = Nu >= 4
-                            ? std::fma(-reg(I.A)[L], reg(I.B)[L], reg(I.C)[L])
-                            : reg(I.C)[L] - reg(I.A)[L] * reg(I.B)[L];
+        reg(I.Dst)[L] = fnmadd(reg(I.A)[L], reg(I.B)[L], reg(I.C)[L]);
       break;
     case Op::VExtract:
       reg(I.Dst)[0] = reg(I.A)[I.Lanes];
       break;
     case Op::VReduceAdd: {
-      double Acc = 0.0;
-      for (int L = 0; L < Nu; ++L)
-        Acc += reg(I.A)[L];
-      reg(I.Dst)[0] = Acc;
+      // The emitter's association order: fold the upper half onto the
+      // lower half until one lane is left.
+      double Tmp[8];
+      std::copy(reg(I.A), reg(I.A) + Nu, Tmp);
+      for (int W = Nu / 2; W >= 1; W /= 2)
+        for (int L = 0; L < W; ++L)
+          Tmp[L] += Tmp[L + W];
+      reg(I.Dst)[0] = Tmp[0];
       break;
     }
     case Op::VShuffle: {
       assert(static_cast<int>(I.Sel.size()) == Nu && "bad selector");
+      const int Ws = F.RegWidth[I.A]; // the sources' width
       double Tmp[8];
       for (int L = 0; L < Nu; ++L) {
         int S = I.Sel[L];
         if (S < 0)
           Tmp[L] = 0.0;
-        else if (S < Nu)
+        else if (S < Ws)
           Tmp[L] = reg(I.A)[S];
         else
-          Tmp[L] = reg(I.B)[S - Nu];
+          Tmp[L] = reg(I.B)[S - Ws];
       }
       for (int L = 0; L < Nu; ++L)
         reg(I.Dst)[L] = Tmp[L];

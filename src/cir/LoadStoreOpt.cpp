@@ -16,6 +16,7 @@
 
 #include "cir/Verify.h"
 
+#include <algorithm>
 #include <cassert>
 #include <functional>
 #include <map>
@@ -31,7 +32,8 @@ namespace {
 struct LaneVal {
   int Reg = -1;
   int Lane = -1;
-  long Time = 0; ///< clock value at publication (for the age window)
+  long Time = 0;       ///< clock value at publication (for the age window)
+  bool Stored = false; ///< published by a store (still in flight)
 };
 
 using MemKey = std::pair<const Operand *, int>; // (buffer, element offset)
@@ -41,14 +43,14 @@ public:
   LoadStorePass(Function &F, int WindowInsts)
       : F(F), Window(WindowInsts), Defs(F.NumRegs, 0), NextReg(F.NumRegs) {
     countDefs(F.Body);
-    RegIsVec = F.RegIsVec;
+    RegWidth = F.RegWidth;
     Rename.resize(F.NumRegs);
     for (int I = 0; I < F.NumRegs; ++I)
       Rename[I] = I;
     runBlock(F.Body);
     deadStores(F.Body, /*LiveOutEverything=*/true);
     F.NumRegs = NextReg;
-    F.RegIsVec = RegIsVec;
+    F.RegWidth = RegWidth;
   }
 
 private:
@@ -57,7 +59,7 @@ private:
   long Clock = 0;
   std::vector<int> Defs;
   std::vector<int> Rename;
-  std::vector<bool> RegIsVec;
+  std::vector<int> RegWidth;
   int NextReg;
   std::map<MemKey, LaneVal> Mem;
 
@@ -74,8 +76,8 @@ private:
 
   bool singleDef(int R) const { return R >= 0 && Defs[R] == 1; }
 
-  int freshVReg() {
-    RegIsVec.push_back(true);
+  int freshReg(int Width) {
+    RegWidth.push_back(Width);
     Defs.push_back(1);
     Rename.push_back(NextReg);
     return NextReg++;
@@ -88,7 +90,7 @@ private:
 
   void recordStore(const Operand *Buf, int Off, int Reg, int Lane) {
     if (singleDef(Reg))
-      Mem[{Buf, Off}] = {Reg, Lane, Clock};
+      Mem[{Buf, Off}] = {Reg, Lane, Clock, /*Stored=*/true};
     else
       Mem.erase({Buf, Off});
   }
@@ -110,55 +112,205 @@ private:
     return &It->second;
   }
 
-  /// Tries to synthesize the value of a vector load (Lanes active lanes at
-  /// Base..Base+Lanes-1 of Buf) out of live registers. Appends replacement
-  /// instructions to Out and returns the register holding the value, or -1.
-  int synthesize(const Operand *Buf, int Base, int Lanes,
+  /// Synthesizes the value of a vector load (Lanes active lanes at Base +
+  /// L * Stride of Buf into a Nu-lane register) out of registers, appending
+  /// the instructions to Out; returns the register, or -1 to keep the load.
+  /// One shuffle serves when every lane lives in at most two vector
+  /// registers of one width. Otherwise, when some lane was stored recently
+  /// -- a load spanning several stores, or a store of another shape, cannot
+  /// be forwarded by the hardware and stalls until they retire -- a vector
+  /// of up to four lanes is assembled in registers (see assemble).
+  int synthesize(const Operand *Buf, int Base, int Stride, int Lanes, int Nu,
                  std::vector<Node> &Out) {
-    int Nu = F.Nu;
-    LaneVal Vals[8];
+    const LaneVal *Vals[8] = {};
+    bool AnyStored = false;
     for (int L = 0; L < Lanes; ++L) {
-      const LaneVal *V = lookup(Buf, Base + L);
-      if (!V)
-        return -1;
-      Vals[L] = *V;
-      if (Vals[L].Lane < 0)
-        return -1; // scalar producer: handled only for scalar loads
+      Vals[L] = lookup(Buf, Base + L * Stride);
+      AnyStored = AnyStored || (Vals[L] && Vals[L]->Stored);
     }
-    // Collect the source registers (at most two for a shuffle).
-    int SrcA = -1, SrcB = -1;
+    Cover C = cover(Vals, Lanes, Nu);
+    if (C.Covered == Lanes) {
+      if (C.Identity)
+        return C.SrcA; // direct reuse, no instruction needed
+      return emitShuffle(C.SrcA, C.SrcB, std::move(C.Sel), Out);
+    }
+    // Nothing in flight: the load itself is cheapest. Eight lanes would
+    // take a two-level insert tree, more than the stall it avoids.
+    if (!AnyStored || Nu > 4)
+      return -1;
+    return assemble(Buf, Base, Stride, Vals, Lanes, Nu, Out);
+  }
+
+  /// The lanes one shuffle of the two best vector sources (those holding
+  /// the most lanes, of one width) provides; the other selector entries
+  /// are -1, which zeroes them (VLoad semantics for inactive lanes).
+  struct Cover {
+    int SrcA = -1, SrcB = -1, Covered = 0;
+    bool Identity = false; ///< SrcA itself is the value
+    std::vector<int> Sel;
+  };
+
+  Cover cover(const LaneVal *const *Vals, int Lanes, int Nu) const {
+    // Distinct vector source registers and how many lanes each holds.
+    int Regs[8], Count[8], NumRegs = 0;
     for (int L = 0; L < Lanes; ++L) {
-      int R = Vals[L].Reg;
-      if (SrcA < 0 || R == SrcA)
-        SrcA = R;
-      else if (SrcB < 0 || R == SrcB)
-        SrcB = R;
-      else
-        return -1;
+      if (!Vals[L] || Vals[L]->Lane < 0)
+        continue;
+      int R = Vals[L]->Reg, S = 0;
+      while (S < NumRegs && Regs[S] != R)
+        ++S;
+      if (S == NumRegs) {
+        Regs[NumRegs] = R;
+        Count[NumRegs++] = 0;
+      }
+      ++Count[S];
     }
-    // Build the selector; inactive lanes must be zero (VLoad semantics).
-    std::vector<int> Sel(Nu, -1);
-    bool Identity = Lanes == Nu;
+    Cover C;
+    C.Sel.assign(Nu, -1);
+    if (NumRegs == 0)
+      return C;
+    auto Best = [&](int Skip, int Width) {
+      int Pick = -1;
+      for (int S = 0; S < NumRegs; ++S)
+        if (S != Skip && (Width == 0 || RegWidth[Regs[S]] == Width) &&
+            (Pick < 0 || Count[S] > Count[Pick]))
+          Pick = S;
+      return Pick;
+    };
+    int A = Best(-1, 0);
+    C.SrcA = Regs[A];
+    const int Ws = RegWidth[C.SrcA];
+    int B = Best(A, Ws);
+    C.SrcB = B < 0 ? -1 : Regs[B];
+    C.Identity = Lanes == Nu && Ws == Nu;
     for (int L = 0; L < Lanes; ++L) {
-      bool FromB = SrcB >= 0 && Vals[L].Reg == SrcB;
-      Sel[L] = (FromB ? Nu : 0) + Vals[L].Lane;
-      if (FromB || Vals[L].Lane != L)
-        Identity = false;
+      const LaneVal *V = Vals[L];
+      if (!V || V->Lane < 0 || (V->Reg != C.SrcA && V->Reg != C.SrcB))
+        continue;
+      C.Sel[L] = (V->Reg == C.SrcB ? Ws : 0) + V->Lane;
+      C.Identity = C.Identity && V->Reg == C.SrcA && V->Lane == L;
+      ++C.Covered;
     }
-    if (Identity)
-      return SrcA; // direct reuse, no instruction needed
+    C.Identity = C.Identity && C.Covered == Lanes;
+    if (C.SrcB < 0)
+      C.SrcB = C.SrcA;
+    return C;
+  }
+
+  /// Assembles lanes [0, Lanes) (the rest zero) in a Nu-lane register. A
+  /// run with no lane in flight is one plain load; a vector wider than two
+  /// lanes with more than one lane missing from its best shuffle is built
+  /// as two halves joined by one insert; otherwise the shuffle is completed
+  /// lane by lane from broadcasts of the missing scalars (their producer, a
+  /// lane extract, or a scalar load), two lanes per shuffle when there is
+  /// nothing to blend into yet.
+  int assemble(const Operand *Buf, int Base, int Stride,
+               const LaneVal *const *Vals, int Lanes, int Nu,
+               std::vector<Node> &Out) {
+    bool AnyStored = false;
+    for (int L = 0; L < Lanes; ++L)
+      AnyStored = AnyStored || (Vals[L] && Vals[L]->Stored);
+    if (!AnyStored) {
+      Inst Ld;
+      Ld.K = Stride == 1 ? Op::VLoad : Op::VLoadStrided;
+      Ld.Dst = freshReg(Nu);
+      Ld.Address.Buf = Buf;
+      Ld.Address.Const = Base;
+      Ld.Lanes = Lanes;
+      Ld.Stride = Stride == 1 ? 0 : Stride;
+      int Dst = Ld.Dst;
+      Out.push_back(std::move(Ld));
+      return Dst;
+    }
+    Cover C = cover(Vals, Lanes, Nu);
+    if (C.Covered == Lanes)
+      return C.Identity ? C.SrcA : emitShuffle(C.SrcA, C.SrcB, C.Sel, Out);
+    const int H = Nu / 2;
+    if (Nu > 2 && Lanes - C.Covered > 1 && Lanes > H) {
+      int Lo = assemble(Buf, Base, Stride, Vals, H, H, Out);
+      int Hi = assemble(Buf, Base + H * Stride, Stride, Vals + H, Lanes - H,
+                        H, Out);
+      std::vector<int> Concat(Nu);
+      for (int L = 0; L < Nu; ++L)
+        Concat[L] = L;
+      return emitShuffle(Lo, Hi, std::move(Concat), Out);
+    }
+    // Broadcasts of the lanes the shuffle misses.
+    std::vector<std::pair<int, int>> Missing; // (lane, broadcast register)
+    for (int L = 0; L < Lanes; ++L) {
+      if (C.Sel[L] >= 0)
+        continue;
+      const LaneVal *V = Vals[L];
+      int S;
+      if (!V) {
+        Inst Ld;
+        Ld.K = Op::SLoad;
+        Ld.Dst = freshReg(1);
+        Ld.Address.Buf = Buf;
+        Ld.Address.Const = Base + L * Stride;
+        S = Ld.Dst;
+        Out.push_back(std::move(Ld));
+      } else if (V->Lane < 0) {
+        S = V->Reg;
+      } else {
+        Inst Ex;
+        Ex.K = Op::VExtract;
+        Ex.Dst = freshReg(1);
+        Ex.A = V->Reg;
+        Ex.Lanes = V->Lane;
+        S = Ex.Dst;
+        Out.push_back(std::move(Ex));
+      }
+      Inst Bc;
+      Bc.K = Op::VBroadcast;
+      Bc.Dst = freshReg(Nu);
+      Bc.A = S;
+      Missing.push_back({L, Bc.Dst});
+      Out.push_back(std::move(Bc));
+    }
+    size_t Next = 0;
+    int Cur = -1;
+    if (C.SrcA >= 0) {
+      Cur = emitShuffle(C.SrcA, C.SrcB, C.Sel, Out);
+    } else {
+      // Nothing to blend into: place the first two lanes at once (zero
+      // elsewhere).
+      std::vector<int> Sel(Nu, -1);
+      int A = Missing[0].second, B = A;
+      Sel[Missing[0].first] = Missing[0].first;
+      if (Missing.size() > 1) {
+        B = Missing[1].second;
+        Sel[Missing[1].first] = Nu + Missing[1].first;
+      }
+      Cur = emitShuffle(A, B, std::move(Sel), Out);
+      Next = std::min<size_t>(2, Missing.size());
+    }
+    // Blend each remaining broadcast into its lane.
+    for (; Next < Missing.size(); ++Next) {
+      std::vector<int> Blend(Nu);
+      for (int K = 0; K < Nu; ++K)
+        Blend[K] = K;
+      Blend[Missing[Next].first] = Nu + Missing[Next].first;
+      Cur = emitShuffle(Cur, Missing[Next].second, std::move(Blend), Out);
+    }
+    return Cur;
+  }
+
+  int emitShuffle(int A, int B, std::vector<int> Sel, std::vector<Node> &Out) {
     Inst Sh;
     Sh.K = Op::VShuffle;
-    Sh.Dst = freshVReg();
-    Sh.A = SrcA;
-    Sh.B = SrcB < 0 ? SrcA : SrcB;
+    Sh.Dst = freshReg(static_cast<int>(Sel.size()));
+    Sh.A = A;
+    Sh.B = B;
     Sh.Sel = std::move(Sel);
+    int Dst = Sh.Dst;
     Out.push_back(std::move(Sh));
-    return Out.empty() ? -1 : std::get<Inst>(Out.back()).Dst;
+    return Dst;
   }
 
   void runBlock(std::vector<Node> &Body) {
     std::vector<Node> Out;
+    Out.reserve(Body.size());
     for (Node &N : Body) {
       if (auto *LP = std::get_if<Loop>(&N)) {
         // Conservative barriers: forget everything around loops.
@@ -223,7 +375,7 @@ private:
             if (V->Lane >= 0) {
               // Replace the load with a lane extract.
               Inst Ex;
-    Ex.K = Op::VExtract;
+              Ex.K = Op::VExtract;
               Ex.Dst = I.Dst;
               Ex.A = V->Reg;
               Ex.Lanes = V->Lane;
@@ -238,27 +390,20 @@ private:
         Out.push_back(std::move(I));
         continue;
       }
-      case Op::VLoad: {
-        if (I.Address.isConstant()) {
-          int R = synthesize(I.Address.Buf, I.Address.Const, I.Lanes, Out);
-          if (R >= 0) {
-            if (singleDef(I.Dst)) {
-              Rename[I.Dst] = R;
-              continue;
-            }
-          }
-          if (singleDef(I.Dst))
-            for (int L = 0; L < I.Lanes; ++L)
-              Mem[{I.Address.Buf, I.Address.Const + L}] = {I.Dst, L, Clock};
-        }
-        Out.push_back(std::move(I));
-        continue;
-      }
+      case Op::VLoad:
       case Op::VLoadStrided: {
-        if (I.Address.isConstant() && singleDef(I.Dst))
+        int Stride = I.K == Op::VLoad ? 1 : I.Stride;
+        if (I.Address.isConstant() && singleDef(I.Dst)) {
+          int R = synthesize(I.Address.Buf, I.Address.Const, Stride, I.Lanes,
+                             RegWidth[I.Dst], Out);
+          if (R >= 0) {
+            Rename[I.Dst] = R;
+            continue;
+          }
           for (int L = 0; L < I.Lanes; ++L)
-            Mem[{I.Address.Buf, I.Address.Const + L * I.Stride}] = {
-                I.Dst, L, Clock};
+            Mem[{I.Address.Buf, I.Address.Const + L * Stride}] = {I.Dst, L,
+                                                                 Clock};
+        }
         Out.push_back(std::move(I));
         continue;
       }
@@ -276,6 +421,7 @@ private:
   void deadStores(std::vector<Node> &Body, bool LiveOutEverything) {
     std::set<MemKey> Overwritten;
     std::vector<Node> Out;
+    Out.reserve(Body.size());
     for (auto It = Body.rbegin(); It != Body.rend(); ++It) {
       Node &N = *It;
       if (auto *LP = std::get_if<Loop>(&N)) {

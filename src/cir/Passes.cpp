@@ -10,9 +10,12 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdint>
+#include <cstring>
 #include <functional>
 #include <map>
 #include <set>
+#include <unordered_map>
 
 using namespace slingen;
 using namespace slingen::cir;
@@ -103,6 +106,7 @@ void substVar(std::vector<Node> &Body, int Var, int Value) {
 
 void unrollBlock(std::vector<Node> &Body, int MaxTrip) {
   std::vector<Node> Out;
+  Out.reserve(Body.size());
   for (Node &N : Body) {
     if (auto *I = std::get_if<Inst>(&N)) {
       Out.push_back(std::move(*I));
@@ -144,34 +148,85 @@ namespace {
 struct CseKey {
   Op K;
   int A, B, C;
-  double Imm;
-  int Lanes, Stride;
+  uint64_t Imm; ///< bit pattern, so 0.0 and -0.0 stay distinct
+  int Lanes, Stride, Width;
   std::vector<int> Sel;
 
-  bool operator<(const CseKey &O) const {
-    return std::tie(K, A, B, C, Imm, Lanes, Stride, Sel) <
-           std::tie(O.K, O.A, O.B, O.C, O.Imm, O.Lanes, O.Stride, O.Sel);
+  bool operator==(const CseKey &O) const {
+    return std::tie(K, A, B, C, Imm, Lanes, Stride, Width, Sel) ==
+           std::tie(O.K, O.A, O.B, O.C, O.Imm, O.Lanes, O.Stride, O.Width,
+                    O.Sel);
+  }
+};
+
+struct CseKeyHash {
+  size_t operator()(const CseKey &Key) const {
+    uint64_t H = static_cast<uint64_t>(Key.K);
+    auto Mix = [&](uint64_t V) { H = (H ^ V) * 0x100000001b3ull; };
+    for (int V : {Key.A, Key.B, Key.C, Key.Lanes, Key.Stride, Key.Width})
+      Mix(static_cast<uint32_t>(V));
+    Mix(Key.Imm);
+    for (int V : Key.Sel)
+      Mix(static_cast<uint32_t>(V));
+    return static_cast<size_t>(H);
   }
 };
 
 class CsePass {
 public:
-  CsePass(Function &F) : Defs(defCounts(F)), Rename(F.NumRegs) {
+  CsePass(Function &F)
+      : F(F), Defs(defCounts(F)), Rename(F.NumRegs), IsZero(F.NumRegs) {
     for (int I = 0; I < F.NumRegs; ++I)
       Rename[I] = I;
     runBlock(F.Body);
   }
 
 private:
+  const Function &F;
   std::vector<int> Defs;
   std::vector<int> Rename;
+  std::vector<bool> IsZero; ///< single-def SConst/VConst +0.0
+  /// Single-def VExtract results: Dst -> (source register, lane).
+  std::map<int, std::pair<int, int>> Extracts;
 
   bool singleDef(int R) const { return R >= 0 && Defs[R] == 1; }
+  bool zero(int R) const { return R >= 0 && IsZero[R]; }
+
+  /// Fresh-zero accumulators: an add of a +0.0 constant is its other
+  /// operand, and an FMA onto one is a multiply. Exact except for the sign
+  /// of a zero result (0.0 + -0.0 is 0.0, the folded form keeps -0.0); the
+  /// interpreter runs the folded IR, so it and the compiled kernel agree.
+  /// Returns true when \p I became a copy of Rename[I.Dst].
+  bool foldZero(Inst &I) {
+    if (I.K == Op::SAdd || I.K == Op::VAdd) {
+      if (zero(I.A) || zero(I.B)) {
+        Rename[I.Dst] = zero(I.A) ? I.B : I.A;
+        return true;
+      }
+    } else if ((I.K == Op::SFma || I.K == Op::VFma) && zero(I.C)) {
+      I.K = I.K == Op::SFma ? Op::SMul : Op::VMul;
+      I.C = -1;
+    }
+    return false;
+  }
+
+  /// A broadcast of an extracted lane is one lane permutation.
+  void foldBroadcast(Inst &I) {
+    if (I.K != Op::VBroadcast)
+      return;
+    auto It = Extracts.find(I.A);
+    if (It == Extracts.end())
+      return;
+    I.K = Op::VShuffle;
+    I.Sel.assign(F.RegWidth[I.Dst], It->second.second);
+    I.A = I.B = It->second.first;
+  }
 
   void runBlock(std::vector<Node> &Body) {
     // Value table local to this straight-line region.
-    std::map<CseKey, int> Table;
+    std::unordered_map<CseKey, int, CseKeyHash> Table;
     std::vector<Node> Out;
+    Out.reserve(Body.size());
     for (Node &N : Body) {
       if (auto *LP = std::get_if<Loop>(&N)) {
         runBlock(LP->Body);
@@ -187,20 +242,27 @@ private:
                       (I.B < 0 || singleDef(I.B)) &&
                       (I.C < 0 || singleDef(I.C));
       if (Eligible) {
+        if (foldZero(I))
+          continue;
+        foldBroadcast(I);
         // Canonicalize commutative operations.
         if ((I.K == Op::SAdd || I.K == Op::SMul || I.K == Op::VAdd ||
              I.K == Op::VMul) &&
             I.A > I.B)
           std::swap(I.A, I.B);
-        CseKey Key{I.K, I.A, I.B, I.C, I.Imm, I.Lanes, I.Stride, I.Sel};
+        uint64_t Bits;
+        std::memcpy(&Bits, &I.Imm, sizeof Bits);
+        CseKey Key{I.K,     I.A,      I.B,
+                   I.C,     Bits,     I.Lanes,
+                   I.Stride, F.RegWidth[I.Dst], I.Sel};
         auto It = Table.find(Key);
         if (It != Table.end()) {
           Rename[I.Dst] = It->second;
           continue; // drop the duplicate instruction
         }
-        // Identity shuffles are copies.
+        // Identity shuffles (same width in and out) are copies.
         if (I.K == Op::VShuffle) {
-          bool Identity = true;
+          bool Identity = F.RegWidth[I.A] == F.RegWidth[I.Dst];
           for (size_t L = 0; L < I.Sel.size(); ++L)
             Identity &= I.Sel[L] == static_cast<int>(L);
           if (Identity && singleDef(I.A)) {
@@ -209,7 +271,11 @@ private:
           }
         }
         Table.emplace(std::move(Key), I.Dst);
+        if ((I.K == Op::SConst || I.K == Op::VConst) && Bits == 0)
+          IsZero[I.Dst] = true;
       }
+      if (Eligible && I.K == Op::VExtract)
+        Extracts[I.Dst] = {I.A, I.Lanes};
       Out.push_back(std::move(I));
     }
     Body = std::move(Out);
@@ -218,7 +284,13 @@ private:
 
 } // namespace
 
-void cir::cse(Function &F) { CsePass Pass(F); }
+void cir::cse(Function &F) {
+  CsePass Pass(F);
+  // Kernels compile without implicit contraction, so on FMA ISAs every
+  // fused multiply-add is placed here, scalar chains included.
+  if (F.Nu >= 4)
+    contractFma(F);
+}
 
 //===----------------------------------------------------------------------===//
 // Dead code elimination.
@@ -240,6 +312,7 @@ bool dceOnce(Function &F) {
   std::function<void(std::vector<Node> &)> Walk =
       [&](std::vector<Node> &Body) {
         std::vector<Node> Out;
+        Out.reserve(Body.size());
         for (Node &N : Body) {
           if (auto *LP = std::get_if<Loop>(&N)) {
             Walk(LP->Body);
@@ -299,12 +372,12 @@ private:
 
   bool singleDef(int R) const { return R >= 0 && Defs[R] == 1; }
 
-  /// A VMul is foldable when it is the unique definition of a register with
-  /// exactly one consumer and its operands are single-def (so re-reading
-  /// them at the consumer yields the same values).
+  /// A multiply is foldable when it is the unique definition of a register
+  /// with exactly one consumer and its operands are single-def (so
+  /// re-reading them at the consumer yields the same values).
   bool foldable(const Inst &I) const {
-    return I.K == Op::VMul && singleDef(I.Dst) && Uses[I.Dst] == 1 &&
-           singleDef(I.A) && singleDef(I.B);
+    return (I.K == Op::VMul || I.K == Op::SMul) && singleDef(I.Dst) &&
+           Uses[I.Dst] == 1 && singleDef(I.A) && singleDef(I.B);
   }
 
   void runBlock(std::vector<Node> &Body) {
@@ -337,6 +410,10 @@ private:
         Fused = Fuse(I.A, Op::VFma, I.B) || Fuse(I.B, Op::VFma, I.A);
       else if (I.K == Op::VSub)
         Fused = Fuse(I.B, Op::VFnma, I.A); // Dst = A - (mul) = C - a*b
+      else if (I.K == Op::SAdd)
+        Fused = Fuse(I.A, Op::SFma, I.B) || Fuse(I.B, Op::SFma, I.A);
+      else if (I.K == Op::SSub)
+        Fused = Fuse(I.B, Op::SFnma, I.A);
       if (!Fused) {
         // The unique consumer was not a fusable add/sub: retire pending
         // entries for any register this instruction reads.

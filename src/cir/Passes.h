@@ -30,7 +30,12 @@ namespace cir {
 void unrollLoops(Function &F, int MaxTrip);
 
 /// Local value numbering: CSE + copy propagation on single-def registers,
-/// per straight-line region.
+/// per straight-line region. Also folds fresh-zero accumulators (x + 0.0
+/// becomes x and fma(a, b, 0.0) becomes a * b, scalar and vector, which
+/// changes nothing but the sign of a zero result), turns a broadcast of an
+/// extracted lane into one lane permutation, and -- on FMA ISAs (Nu >= 4),
+/// whose kernels compile without implicit contraction -- finishes with
+/// contractFma.
 void cse(Function &F);
 
 /// Removes pure instructions (and dead loads) whose results are unused.
@@ -45,15 +50,17 @@ void dce(Function &F);
 void loadStoreOpt(Function &F, int WindowInsts = 4096);
 
 /// Contracts mul+add chains into fused multiply-adds: a single-use VMul
-/// feeding a VAdd becomes VFma (either operand order), and one feeding the
-/// subtrahend of a VSub becomes VFnma (Dst = C - A*B). Only fires when the
+/// (SMul) feeding a VAdd (SAdd) becomes VFma (SFma), either operand order,
+/// and one feeding the subtrahend of a VSub (SSub) becomes VFnma (SFnma,
+/// Dst = C - A*B). Only fires when the
 /// mul and its consumer sit in the same straight-line region and all
 /// involved registers are single-def, so the folded operands provably hold
 /// the same values at the consumer. Changes rounding (one rounding instead
 /// of two on ISAs with hardware FMA), so callers must apply it -- or not --
 /// consistently across every kernel variant they intend to compare
 /// bit-exactly. The batched codegen applies it to all widened variants when
-/// Nu >= 4, matching the interpreter's width-dependent VFma semantics.
+/// Nu >= 4, matching the interpreter's ISA-dependent FMA semantics, and
+/// cse() to every function whose ISA has FMA.
 void contractFma(Function &F);
 
 /// Runs the standard post-generation pipeline:

@@ -37,6 +37,13 @@ Interval scaled(Interval A, long K) {
   return {std::min(X, Y), std::max(X, Y)};
 }
 
+/// The values of a loop variable: inside I, and all congruent to I.Lo
+/// modulo Grid (Grid 1 when the starts do not share one step grid).
+struct VarRange {
+  Interval I;
+  long Grid = 1;
+};
+
 /// Expected operand/destination register class per opcode.
 enum class RC { None, Scal, Vec };
 
@@ -63,6 +70,9 @@ OpSig opSig(Op K) {
   case Op::SSqrt:
   case Op::SNeg:
     return {RC::Scal, RC::Scal};
+  case Op::SFma:
+  case Op::SFnma:
+    return {RC::Scal, RC::Scal, RC::Scal, RC::Scal};
   case Op::VConst:
     return {RC::Vec};
   case Op::VLoad:
@@ -149,11 +159,23 @@ public:
       Buffers[L] = B;
     }
 
-    if (static_cast<int>(F.RegIsVec.size()) != F.NumRegs) {
+    if (static_cast<int>(F.RegWidth.size()) != F.NumRegs) {
       error(-1, VerifyKind::BadRegister,
-            formatf("RegIsVec has %zu entries for %d registers",
-                    F.RegIsVec.size(), F.NumRegs));
+            formatf("RegWidth has %zu entries for %d registers",
+                    F.RegWidth.size(), F.NumRegs));
       return;
+    }
+    // (A nu = 1 function's vector registers are reported at their
+    // defining V* instruction, as VectorInScalar.)
+    for (int R = 0; R < F.NumRegs && F.Nu > 1; ++R) {
+      int W = F.RegWidth[R];
+      if (W != 1 && (W > F.Nu || (W != 2 && W != 4 && W != 8))) {
+        error(-1, VerifyKind::WidthMismatch,
+              formatf("r%d is %d lanes wide; registers hold 1, 2, 4 or 8 "
+                      "lanes, at most the function's %d",
+                      R, W, F.Nu));
+        return;
+      }
     }
     Defined.assign(std::max(F.NumRegs, 0), false);
     Uses.assign(std::max(F.NumRegs, 0), 0);
@@ -175,7 +197,7 @@ private:
   int MaxErrors;
   bool InstancesWide = false;
   std::map<const Operand *, BufferInfo> Buffers;
-  std::map<int, Interval> Scope; ///< in-scope loop var -> value interval
+  std::map<int, VarRange> Scope; ///< in-scope loop var -> its values
   std::vector<bool> Defined;
   std::vector<int> Uses;
   int Idx = -1; ///< linear pre-order index of the instruction under check
@@ -231,10 +253,10 @@ private:
       return;
     }
     bool WantVec = Want == RC::Vec;
-    if (F.RegIsVec[R] != WantVec)
+    if (F.isVecReg(R) != WantVec)
       error(Idx, VerifyKind::WidthMismatch,
             formatf("%s operand r%d is %s, %s required", Role, R,
-                    F.RegIsVec[R] ? "vector" : "scalar",
+                    F.isVecReg(R) ? "vector" : "scalar",
                     WantVec ? "vector" : "scalar"));
   }
 
@@ -252,12 +274,40 @@ private:
     if (!regOk(R, "destination"))
       return;
     bool WantVec = Want == RC::Vec;
-    if (F.RegIsVec[R] != WantVec)
+    if (F.isVecReg(R) != WantVec)
       error(Idx, VerifyKind::WidthMismatch,
             formatf("destination r%d is %s, opcode defines a %s", R,
-                    F.RegIsVec[R] ? "vector" : "scalar",
+                    F.isVecReg(R) ? "vector" : "scalar",
                     WantVec ? "vector" : "scalar"));
     Defined[R] = true;
+  }
+
+  /// Lanes the vector instruction \p I operates on: its vector destination's
+  /// width, else its vector A operand's (stores, extract, reduce); 0 when
+  /// the registers are malformed (already reported).
+  int opWidth(const Inst &I, const OpSig &Sig) const {
+    int R = Sig.Dst == RC::Vec ? I.Dst : (Sig.A == RC::Vec ? I.A : -1);
+    if (R < 0 || R >= F.NumRegs || !F.isVecReg(R))
+      return 0;
+    return F.RegWidth[R];
+  }
+
+  /// Every vector operand of a V* instruction has the instruction's width;
+  /// a shuffle's two sources share one width, which may differ from it.
+  void checkWidths(const Inst &I, const OpSig &Sig, int W) {
+    if (I.K == Op::VShuffle && I.A >= 0 && I.A < F.NumRegs)
+      W = F.RegWidth[I.A];
+    std::pair<int, RC> Ops[] = {{I.A, Sig.A}, {I.B, Sig.B}, {I.C, Sig.C}};
+    const char *Roles[] = {"A", "B", "C"};
+    for (int K = 0; K < 3; ++K) {
+      auto [R, Class] = Ops[K];
+      if (Class != RC::Vec || R < 0 || R >= F.NumRegs || !F.isVecReg(R))
+        continue;
+      if (F.RegWidth[R] != W)
+        error(Idx, VerifyKind::WidthMismatch,
+              formatf("%s operand r%d is %d lanes wide, the instruction %d",
+                      Roles[K], R, F.RegWidth[R], W));
+    }
   }
 
   /// Affine range of Const + sum(coeff * var) under the current loop scope.
@@ -272,13 +322,13 @@ private:
                       A.str().c_str(), Var));
         return false;
       }
-      R = R + scaled(It->second, Coeff);
+      R = R + scaled(It->second.I, Coeff);
     }
     Out = R;
     return true;
   }
 
-  void checkMem(const Inst &I) {
+  void checkMem(const Inst &I, int W) {
     const Addr &A = I.Address;
     if (!A.Buf) {
       error(Idx, VerifyKind::UnknownBuffer, "memory access with null buffer");
@@ -311,9 +361,16 @@ private:
                 "' in a tail-masked function");
 
     bool Vec = I.K != Op::SLoad && I.K != Op::SStore;
-    if (Vec && (I.Lanes < 1 || I.Lanes > F.Nu)) {
+    if (Vec && (I.Lanes < 1 || I.Lanes > W)) {
       error(Idx, VerifyKind::BadLane,
-            formatf("lane count %d outside [1, %d]", I.Lanes, F.Nu));
+            formatf("lane count %d outside [1, %d]", I.Lanes, W));
+      return;
+    }
+    if (isMaskedOp(I.K) && W != F.Nu) {
+      error(Idx, VerifyKind::WidthMismatch,
+            formatf("masked access on a %d-lane register; tail masks cover "
+                    "all %d lanes",
+                    W, F.Nu));
       return;
     }
     if (isStridedOp(I.K) && I.Stride < 1) {
@@ -381,32 +438,42 @@ private:
     useReg(I.B, Sig.B, "B");
     useReg(I.C, Sig.C, "C");
 
+    // A scalar function's translation unit has no vector types at all.
+    if (isVector(I.K) && F.Nu == 1)
+      error(Idx, VerifyKind::VectorInScalar,
+            "vector instruction in a function with nu = 1");
+    int W = isVector(I.K) ? opWidth(I, Sig) : 1;
+    if (W > 1)
+      checkWidths(I, Sig, W);
+
     if (isMemOp(I.K))
-      checkMem(I);
+      checkMem(I, W);
     else if (I.Address.Buf)
       error(Idx, VerifyKind::BadArity,
             "non-memory opcode carries an address");
 
     switch (I.K) {
     case Op::VExtract:
-      if (I.Lanes < 0 || I.Lanes >= F.Nu)
+      if (I.Lanes < 0 || I.Lanes >= W)
         error(Idx, VerifyKind::BadLane,
-              formatf("extract lane %d outside [0, %d)", I.Lanes, F.Nu));
+              formatf("extract lane %d outside [0, %d)", I.Lanes, W));
       break;
-    case Op::VShuffle:
-      if (static_cast<int>(I.Sel.size()) != F.Nu) {
+    case Op::VShuffle: {
+      int Ws = I.A >= 0 && I.A < F.NumRegs ? F.RegWidth[I.A] : W;
+      if (static_cast<int>(I.Sel.size()) != W) {
         error(Idx, VerifyKind::BadShuffle,
-              formatf("selector has %zu entries, Nu is %d", I.Sel.size(),
-                      F.Nu));
+              formatf("selector has %zu entries, the result %d lanes",
+                      I.Sel.size(), W));
       } else {
         for (int S : I.Sel)
-          if (S < -1 || S >= 2 * F.Nu) {
+          if (S < -1 || S >= 2 * Ws) {
             error(Idx, VerifyKind::BadShuffle,
-                  formatf("selector lane %d outside [-1, %d)", S, 2 * F.Nu));
+                  formatf("selector lane %d outside [-1, %d)", S, 2 * Ws));
             break;
           }
       }
       break;
+    }
     case Op::VMul:
       // Track multiplies with single-def operands: the pool a (buggy)
       // contraction could duplicate.
@@ -467,6 +534,9 @@ private:
         continue;
       }
       Interval LoI{L.Lo, L.Lo};
+      // Every start Lo + c*outer is congruent to LoI.Lo modulo Step when
+      // the outer variable's grid, scaled by c, is a multiple of Step.
+      bool OnGrid = true;
       if (L.LoVar >= 0) {
         auto It = Scope.find(L.LoVar);
         if (It == Scope.end()) {
@@ -476,11 +546,17 @@ private:
                         L.LoVar));
           continue;
         }
-        LoI = LoI + scaled(It->second, L.LoVarCoeff);
+        const VarRange &Outer = It->second;
+        LoI = LoI + scaled(Outer.I, L.LoVarCoeff);
+        OnGrid = std::labs(L.LoVarCoeff) * Outer.Grid % L.Step == 0;
       }
-      // Values are LoExpr, LoExpr+Step, ... < Hi; an interval of
-      // [min(LoExpr), Hi-1], clamped non-empty for possibly-dead bodies.
-      Interval VarI{LoI.Lo, std::max(static_cast<long>(L.Hi) - 1, LoI.Lo)};
+      // Values are LoExpr, LoExpr+Step, ... < Hi: the interval runs from
+      // min(LoExpr) to the last grid point below Hi (Hi-1 off the grid),
+      // clamped non-empty for possibly-dead bodies.
+      long Last = static_cast<long>(L.Hi) - 1;
+      if (OnGrid && Last >= LoI.Lo)
+        Last = LoI.Lo + (Last - LoI.Lo) / L.Step * L.Step;
+      VarRange VarI{{LoI.Lo, std::max(Last, LoI.Lo)}, OnGrid ? L.Step : 1};
       Scope.emplace(L.Var, VarI);
       checkBlock(L.Body);
       Scope.erase(L.Var);
@@ -520,6 +596,8 @@ const char *cir::verifyKindName(VerifyKind K) {
     return "out-of-bounds";
   case VerifyKind::Misaligned:
     return "misaligned";
+  case VerifyKind::VectorInScalar:
+    return "vector-in-scalar";
   }
   return "?";
 }

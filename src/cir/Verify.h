@@ -16,8 +16,11 @@
 ///    accumulators are initialized before their loop, so strict program
 ///    order is the generated-code invariant);
 ///  - opcode arity: exactly the operands an opcode consumes are present;
-///  - width consistency: scalar and Nu-wide registers never mix (VAdd reads
+///  - width consistency: scalar and vector registers never mix (VAdd reads
 ///    two vector registers and defines one, VBroadcast reads a scalar, ...);
+///    every register is 1 (scalar), 2, 4 or 8 lanes wide and no wider than
+///    the function's Nu; the vector operands of one instruction share its
+///    width; a function with Nu == 1 holds no V* instruction at all;
 ///  - masked ops (VLoadStridedMasked/VStoreStridedMasked) appear only in
 ///    HasTailMask functions -- and in an *instance-widened* HasTailMask
 ///    function (the `_fusedtail` emission) every parameter access *is*
@@ -26,14 +29,18 @@
 ///  - no store through a parameter declared read-only;
 ///  - no VFma/VFnma that duplicates a multiply which still has uses
 ///    (the contractFma single-use contract);
-///  - shuffle selectors sized Nu with lanes in [-1, 2*Nu), extract lanes in
-///    [0, Nu), loop structure sane (positive step, in-scope affine bounds),
-///    address terms referencing only in-scope loop variables.
+///  - shuffle selectors sized W with lanes in [-1, 2*W), extract lanes in
+///    [0, W) and load/store lane counts in [1, W], for the instruction's
+///    width W; masked tail accesses at the full Nu; loop structure sane
+///    (positive step, in-scope affine bounds), address terms referencing
+///    only in-scope loop variables.
 ///
 /// Layer B (symbolic access bounds + alignment): every address is an affine
 /// form base + sum(coeff * loopvar); loop variables have known intervals
 /// (constant upper bounds, affine-in-outer-var lower bounds), so each
-/// access's touched element range is an interval. The verifier proves:
+/// access's touched element range is an interval. A variable's last value
+/// is the last point of its step grid below the upper bound, whenever every
+/// lower bound it can start from lies on one grid. The verifier proves:
 ///  - scalar/contiguous accesses land in [0, size) of the named buffer
 ///    (params sized Rows*Cols per instance, times Nu for instance-widened
 ///    functions; locals sized Rows*Cols*LocalVecWidth);
@@ -85,6 +92,7 @@ enum class VerifyKind {
   FmaMultiUse,    ///< VFma/VFnma duplicating a multiply that still has uses
   OutOfBounds,    ///< access range not provably inside the buffer
   Misaligned,     ///< widened local access not Nu-element aligned
+  VectorInScalar, ///< V* instruction in a function with Nu == 1
 };
 
 const char *verifyKindName(VerifyKind K);

@@ -56,7 +56,7 @@ public:
     Out.Func.LocalVecWidth = Lanes;
     Out.Func.NumRegs = F.NumRegs;
     Out.Func.NumVars = F.NumVars;
-    Out.Func.RegIsVec.assign(F.NumRegs, true);
+    Out.Func.RegWidth.assign(F.NumRegs, Lanes);
     return widenBlock(F.Body, Out.Func.Body);
   }
 

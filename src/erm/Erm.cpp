@@ -22,13 +22,16 @@ const MicroArch &erm::sandyBridge() {
 
 namespace {
 
-/// True if the selector only moves lane L to lane L (from either source):
-/// such a VShuffle lowers to a blend, everything else needs a real shuffle
-/// or permute.
-bool isBlend(const cir::Inst &I, int Nu) {
-  for (int L = 0; L < Nu; ++L) {
+/// True if the selector only moves lane L to lane L (from either source of
+/// the result's width): such a VShuffle lowers to a blend, everything else
+/// needs a real shuffle or permute.
+bool isBlend(const cir::Function &F, const cir::Inst &I) {
+  int W = static_cast<int>(I.Sel.size());
+  if (F.RegWidth[I.A] != W)
+    return false;
+  for (int L = 0; L < W; ++L) {
     int S = I.Sel[L];
-    if (S >= 0 && S % Nu != L)
+    if (S >= 0 && S % W != L)
       return false;
   }
   return true;
@@ -36,7 +39,7 @@ bool isBlend(const cir::Inst &I, int Nu) {
 
 struct Counter {
   const MicroArch &M;
-  int Nu;
+  const cir::Function &F;
   Analysis A;
 
   void count(const std::vector<cir::Node> &Body, double Weight) {
@@ -54,6 +57,8 @@ struct Counter {
       auto Add = [&](long &C, double N2 = 1.0) {
         C += static_cast<long>(Weight * N2);
       };
+      // Lanes of a vector arithmetic instruction's result.
+      const int Nu = I.Dst >= 0 ? F.RegWidth[I.Dst] : 1;
       switch (I.K) {
       case Op::SAdd:
       case Op::SSub:
@@ -70,6 +75,8 @@ struct Counter {
         break;
       case Op::VFma:
       case Op::VFnma:
+      case Op::SFma:
+      case Op::SFnma:
         Add(A.Flops, 2 * Nu);
         Add(A.OtherIssued);
         break;
@@ -101,7 +108,7 @@ struct Counter {
         Add(A.Stores, I.Lanes);
         break;
       case Op::VShuffle:
-        if (isBlend(I, Nu))
+        if (isBlend(F, I))
           Add(A.Blends);
         else
           Add(A.Shuffles);
@@ -144,6 +151,8 @@ struct ChainAnalyzer {
       return M.DivSqrtLatency;
     case Op::SMul:
     case Op::VMul:
+    case Op::SFma:
+    case Op::SFnma:
     case Op::VFma:
     case Op::VFnma:
       return M.MulLatency;
@@ -216,7 +225,7 @@ struct ChainAnalyzer {
 } // namespace
 
 Analysis erm::analyze(const cir::Function &F, const MicroArch &M) {
-  Counter C{M, F.Nu, {}};
+  Counter C{M, F, {}};
   C.count(F.Body, 1.0);
   Analysis A = C.A;
 

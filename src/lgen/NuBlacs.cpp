@@ -6,6 +6,7 @@
 
 #include "lgen/NuBlacs.h"
 
+#include <algorithm>
 #include <cassert>
 
 using namespace slingen;
@@ -30,22 +31,30 @@ Addr lgen::elemAddr(const ViewExpr &V, bool Trans, Pos R, Pos C) {
   return A;
 }
 
+int lgen::tileWidth(int Live, int Nu) {
+  if (Live <= 1)
+    return 1;
+  int W = Live <= 2 ? 2 : (Live <= 4 ? 4 : 8);
+  return std::min(W, Nu);
+}
+
 int lgen::loadSpan(FuncBuilder &B, const ViewExpr &V, bool Trans, Pos R,
-                   Pos C, int Count, bool AlongCols) {
-  assert(Count >= 1 && Count <= B.nu() && "span wider than a register");
+                   Pos C, int Count, bool AlongCols, int Width) {
+  assert(Count >= 1 && Count <= Width && Width <= B.nu() &&
+         "span wider than its register");
   // Physical direction: advancing along logical columns of a transposed
   // view walks physical rows.
   bool PhysAlongCols = AlongCols != Trans;
   int Ld = V.Op->root()->Cols;
   Addr A = elemAddr(V, Trans, R, C);
   if (PhysAlongCols || Count == 1 || Ld == 1)
-    return B.vload(std::move(A), Count);
-  return B.vloadStrided(std::move(A), Ld, Count);
+    return B.vload(std::move(A), Count, Width);
+  return B.vloadStrided(std::move(A), Ld, Count, Width);
 }
 
 void lgen::storeSpan(FuncBuilder &B, const ViewExpr &V, bool Trans, Pos R,
                      Pos C, int Count, bool AlongCols, int Reg) {
-  assert(Count >= 1 && Count <= B.nu() && "span wider than a register");
+  assert(Count >= 1 && Count <= B.width(Reg) && "span wider than a register");
   bool PhysAlongCols = AlongCols != Trans;
   int Ld = V.Op->root()->Cols;
   Addr A = elemAddr(V, Trans, R, C);

@@ -45,12 +45,19 @@ struct Pos {
 /// Address of logical element (R, C) of the (possibly transposed) view \p V.
 cir::Addr elemAddr(const ViewExpr &V, bool Trans, Pos R, Pos C);
 
-/// Loads \p Count consecutive logical elements of op(V) starting at (R, C),
-/// advancing along columns when \p AlongCols (a row span) or along rows
-/// otherwise. Chooses contiguous vs strided loads from the physical layout.
-/// Lanes beyond Count are zero.
+/// Register width of a tile piece with \p Live live lanes under an ISA of
+/// vector width \p Nu: the narrowest of 8, 4 and 2 lanes that holds them
+/// (capped at Nu), or 1 -- a scalar register -- for a single lane. Sub-nu
+/// leftovers thus become their own narrower codelets instead of mostly-dead
+/// full-width registers.
+int tileWidth(int Live, int Nu);
+
+/// Loads \p Count consecutive logical elements of op(V) starting at (R, C)
+/// into a \p Width-lane vector register, advancing along columns when
+/// \p AlongCols (a row span) or along rows otherwise. Chooses contiguous vs
+/// strided loads from the physical layout. Lanes beyond Count are zero.
 int loadSpan(cir::FuncBuilder &B, const ViewExpr &V, bool Trans, Pos R, Pos C,
-             int Count, bool AlongCols);
+             int Count, bool AlongCols, int Width);
 
 /// Stores the first \p Count lanes of \p Reg to the logical span.
 void storeSpan(cir::FuncBuilder &B, const ViewExpr &V, bool Trans, Pos R,

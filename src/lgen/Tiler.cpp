@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <map>
 
 using namespace slingen;
 using namespace slingen::lgen;
@@ -264,6 +265,43 @@ private:
   }
 
   //===--------------------------------------------------------------------===//
+  // Width-generic register operations on W lanes; W == 1 is a scalar.
+  //===--------------------------------------------------------------------===//
+
+  int zeroReg(int W) { return W == 1 ? B.sconst(0.0) : B.vconst(0.0, W); }
+  int splat(int S, int W) { return W == 1 ? S : B.vbroadcast(S, W); }
+  int add(int A, int C, int W) {
+    return W == 1 ? B.sbin(Op::SAdd, A, C) : B.vbin(Op::VAdd, A, C);
+  }
+  int sub(int A, int C, int W) {
+    return W == 1 ? B.sbin(Op::SSub, A, C) : B.vbin(Op::VSub, A, C);
+  }
+  /// Acc + X * Y. Scalar chains stay mul + add here; cir::cse fuses them
+  /// on FMA ISAs.
+  int madd(int X, int Y, int Acc, int W) {
+    if (W > 1)
+      return B.vfma(X, Y, Acc);
+    return B.sbin(Op::SAdd, Acc, B.sbin(Op::SMul, X, Y));
+  }
+  void maddInto(int Acc, int X, int Y, int W) {
+    if (W > 1)
+      B.vfmaInto(Acc, X, Y, Acc);
+    else
+      B.sbinInto(Acc, Op::SAdd, Acc, B.sbin(Op::SMul, X, Y));
+  }
+  int load(const Factor &F, Pos R, Pos C, int Count, bool AlongCols, int W) {
+    if (W == 1)
+      return loadElem(B, *F.V, F.Trans, R, C);
+    return loadSpan(B, *F.V, F.Trans, R, C, Count, AlongCols, W);
+  }
+  void store(Pos R, Pos C, int Count, bool AlongCols, int Reg) {
+    if (B.width(Reg) == 1)
+      storeElem(B, *Lhs, false, R, C, Reg);
+    else
+      storeSpan(B, *Lhs, false, R, C, Count, AlongCols, Reg);
+  }
+
+  //===--------------------------------------------------------------------===//
   // Matrix output: broadcast-FMA register tiles.
   //===--------------------------------------------------------------------===//
 
@@ -301,48 +339,48 @@ private:
     B.endLoop();
   }
 
+  /// One TR x TC tile: a register per row, each as wide as the TC live
+  /// lanes need (a scalar for a single column).
   void emitOneTile(Pos R0, Pos C0, int TR, int TC, bool Constant) {
-    std::vector<int> Acc(TR);
-    int Zero = B.vconst(0.0);
-    for (int R = 0; R < TR; ++R)
-      Acc[R] = Zero;
+    const int W = tileWidth(TC, Nu);
+    std::vector<int> Acc(TR, zeroReg(W));
     for (size_t T = 0; T < Terms.size(); ++T) {
       const Term &Tm = Terms[T];
       if (termIsZero(Tm))
         continue;
       if (Tm.Mat.empty()) {
         // Pure scalar term broadcast over the tile (e.g. "view = 0").
-        int BC = B.vbroadcast(CoefReg[T]);
+        int BC = splat(CoefReg[T], W);
         for (int R = 0; R < TR; ++R)
-          Acc[R] = B.vbin(Op::VAdd, Acc[R], BC);
+          Acc[R] = add(Acc[R], BC, W);
       } else if (Tm.Mat.size() == 1)
-        emitLinearTermTile(Tm, CoefReg[T], R0, C0, TR, TC, Acc);
+        emitLinearTermTile(Tm, CoefReg[T], R0, C0, TR, TC, W, Acc);
       else
-        emitProductTermTile(Tm, CoefReg[T], R0, C0, TR, TC, Constant, Acc);
+        emitProductTermTile(Tm, CoefReg[T], R0, C0, TR, TC, W, Constant,
+                            Acc);
     }
     for (int R = 0; R < TR; ++R)
-      storeSpan(B, *Lhs, false, R0.plus(R), C0, TC, /*AlongCols=*/true,
-                Acc[R]);
+      store(R0.plus(R), C0, TC, /*AlongCols=*/true, Acc[R]);
   }
 
   void emitLinearTermTile(const Term &Tm, int Coef, Pos R0, Pos C0, int TR,
-                          int TC, std::vector<int> &Acc) {
+                          int TC, int W, std::vector<int> &Acc) {
     const Factor &F = Tm.Mat[0];
-    int BCoef = Coef >= 0 ? B.vbroadcast(Coef) : -1;
+    int BCoef = Coef >= 0 ? splat(Coef, W) : -1;
     for (int R = 0; R < TR; ++R) {
-      int Span = loadSpan(B, *F.V, F.Trans, R0.plus(R), C0, TC,
-                          /*AlongCols=*/true);
+      int Span = load(F, R0.plus(R), C0, TC, /*AlongCols=*/true, W);
       if (BCoef >= 0)
-        Acc[R] = B.vfma(BCoef, Span, Acc[R]);
+        Acc[R] = madd(BCoef, Span, Acc[R], W);
       else if (Tm.Sign > 0)
-        Acc[R] = B.vbin(Op::VAdd, Acc[R], Span);
+        Acc[R] = add(Acc[R], Span, W);
       else
-        Acc[R] = B.vbin(Op::VSub, Acc[R], Span);
+        Acc[R] = sub(Acc[R], Span, W);
     }
   }
 
   void emitProductTermTile(const Term &Tm, int Coef, Pos R0, Pos C0, int TR,
-                           int TC, bool Constant, std::vector<int> &Acc) {
+                           int TC, int W, bool Constant,
+                           std::vector<int> &Acc) {
     const Factor &A = Tm.Mat[0], &X = Tm.Mat[1];
     int K = A.cols();
     assert(K == X.rows() && "inner dimension mismatch in term");
@@ -356,31 +394,26 @@ private:
     if (PHi - PLo > Opt.UnrollK) {
       // Materialize the reduction as a loop with stable accumulators.
       std::vector<int> LoopAcc(TR);
-      for (int R = 0; R < TR; ++R) {
-        LoopAcc[R] = B.vconst(0.0);
-      }
+      for (int R = 0; R < TR; ++R)
+        LoopAcc[R] = zeroReg(W);
       int PV = B.beginLoop(PLo, PHi, 1);
-      int BSpan =
-          loadSpan(B, *X.V, X.Trans, Pos::var(PV), C0, TC, /*AlongCols=*/true);
+      int BSpan = load(X, Pos::var(PV), C0, TC, /*AlongCols=*/true, W);
       for (int R = 0; R < TR; ++R) {
         int AElem = loadElem(B, *A.V, A.Trans, R0.plus(R), Pos::var(PV));
         AElem = scaleElem(AElem, Tm.Sign, Coef);
-        int BC = B.vbroadcast(AElem);
-        B.vfmaInto(LoopAcc[R], BC, BSpan, LoopAcc[R]);
+        maddInto(LoopAcc[R], splat(AElem, W), BSpan, W);
       }
       B.endLoop();
       for (int R = 0; R < TR; ++R)
-        Acc[R] = B.vbin(Op::VAdd, Acc[R], LoopAcc[R]);
+        Acc[R] = add(Acc[R], LoopAcc[R], W);
       return;
     }
     for (int P = PLo; P < PHi; ++P) {
-      int BSpan =
-          loadSpan(B, *X.V, X.Trans, Pos(P), C0, TC, /*AlongCols=*/true);
+      int BSpan = load(X, Pos(P), C0, TC, /*AlongCols=*/true, W);
       for (int R = 0; R < TR; ++R) {
         int AElem = loadElem(B, *A.V, A.Trans, R0.plus(R), Pos(P));
         AElem = scaleElem(AElem, Tm.Sign, Coef);
-        int BC = B.vbroadcast(AElem);
-        Acc[R] = B.vfma(BC, BSpan, Acc[R]);
+        Acc[R] = madd(splat(AElem, W), BSpan, Acc[R], W);
       }
     }
   }
@@ -398,27 +431,26 @@ private:
   void emitLinearColumn() {
     int M = Lhs->rows();
     auto EmitChunk = [&](Pos R0, int Count) {
-      int Acc = B.vconst(0.0);
+      const int W = tileWidth(Count, Nu);
+      int Acc = zeroReg(W);
       for (size_t T = 0; T < Terms.size(); ++T) {
         const Term &Tm = Terms[T];
         if (termIsZero(Tm))
           continue;
         if (Tm.Mat.empty()) {
-          Acc = B.vbin(Op::VAdd, Acc, B.vbroadcast(CoefReg[T]));
+          Acc = add(Acc, splat(CoefReg[T], W), W);
           continue;
         }
         assert(Tm.Mat.size() == 1 && "product in linear kernel");
-        const Factor &F = Tm.Mat[0];
-        int Span = loadSpan(B, *F.V, F.Trans, R0, 0, Count,
-                            /*AlongCols=*/false);
+        int Span = load(Tm.Mat[0], R0, 0, Count, /*AlongCols=*/false, W);
         if (CoefReg[T] >= 0)
-          Acc = B.vfma(B.vbroadcast(CoefReg[T]), Span, Acc);
+          Acc = madd(splat(CoefReg[T], W), Span, Acc, W);
         else if (Tm.Sign > 0)
-          Acc = B.vbin(Op::VAdd, Acc, Span);
+          Acc = add(Acc, Span, W);
         else
-          Acc = B.vbin(Op::VSub, Acc, Span);
+          Acc = sub(Acc, Span, W);
       }
-      storeSpan(B, *Lhs, false, R0, 0, Count, /*AlongCols=*/false, Acc);
+      store(R0, 0, Count, /*AlongCols=*/false, Acc);
     };
     int Tiles = (M + Nu - 1) / Nu;
     if (M % Nu != 0 || Tiles <= Opt.UnrollTiles) {
@@ -449,6 +481,49 @@ private:
   void emitReducedRowsUnrolled(int Lo, int Hi) {
     for (int R = Lo; R < Hi; ++R)
       emitReducedRow(Pos(R), /*Constant=*/true);
+  }
+
+  /// op(A)(R, PLo:PHi) . op(X)(PLo:PHi, 0). Reductions longer than UnrollK
+  /// full registers run as a loop; dots of four or more elements go to
+  /// vector accumulators, one per width, each chunk as wide as its live
+  /// lanes; shorter dots and a single leftover element are scalar chains.
+  int emitDot(const Factor &A, const Factor &X, Pos R, int PLo, int PHi) {
+    int Dot = -1;
+    auto AddTo = [&](int V) {
+      Dot = Dot < 0 ? V : B.sbin(Op::SAdd, Dot, V);
+    };
+    int P = PLo;
+    if (PHi - PLo > Opt.UnrollK * Nu) {
+      int Acc = zeroReg(Nu);
+      int Full = PLo + (PHi - PLo) / Nu * Nu;
+      int PV = B.beginLoop(PLo, Full, Nu);
+      int VA = load(A, R, Pos::var(PV), Nu, /*AlongCols=*/true, Nu);
+      int VX = load(X, Pos::var(PV), 0, Nu, /*AlongCols=*/false, Nu);
+      maddInto(Acc, VA, VX, Nu);
+      B.endLoop();
+      AddTo(Nu == 1 ? Acc : B.vreduceAdd(Acc));
+      P = Full;
+    }
+    std::map<int, int> Accs; // width -> accumulator
+    if (Nu > 1 && PHi - PLo >= 4) {
+      for (; PHi - P >= 2;) {
+        int Cnt = std::min(Nu, PHi - P), W = tileWidth(Cnt, Nu);
+        int VA = load(A, R, Pos(P), Cnt, /*AlongCols=*/true, W);
+        int VX = load(X, Pos(P), 0, Cnt, /*AlongCols=*/false, W);
+        auto It = Accs.find(W);
+        Accs[W] = It == Accs.end() ? B.vbin(Op::VMul, VA, VX)
+                                   : B.vfma(VA, VX, It->second);
+        P += Cnt;
+      }
+    }
+    for (auto It = Accs.rbegin(); It != Accs.rend(); ++It)
+      AddTo(B.vreduceAdd(It->second));
+    for (; P < PHi; ++P) {
+      int EA = loadElem(B, *A.V, A.Trans, R, Pos(P));
+      int EX = loadElem(B, *X.V, X.Trans, Pos(P), 0);
+      AddTo(B.sbin(Op::SMul, EA, EX));
+    }
+    return Dot < 0 ? B.sconst(0.0) : Dot;
   }
 
   void emitReducedRow(Pos R, bool Constant) {
@@ -483,42 +558,7 @@ private:
         PLo = Lo2;
         PHi = Hi2;
       }
-      int Dot;
-      if (PHi - PLo > Opt.UnrollK * Nu) {
-        int Acc = B.vconst(0.0);
-        int Full = PLo + (PHi - PLo) / Nu * Nu;
-        int PV = B.beginLoop(PLo, Full, Nu);
-        int VA = loadSpan(B, *A.V, A.Trans, R, Pos::var(PV), Nu,
-                          /*AlongCols=*/true);
-        int VX = loadSpan(B, *X.V, X.Trans, Pos::var(PV), 0, Nu,
-                          /*AlongCols=*/false);
-        B.vfmaInto(Acc, VA, VX, Acc);
-        B.endLoop();
-        for (int P = Full; P < PHi; P += Nu) {
-          int Cnt = std::min(Nu, PHi - P);
-          int VA2 = loadSpan(B, *A.V, A.Trans, R, Pos(P), Cnt, true);
-          int VX2 = loadSpan(B, *X.V, X.Trans, Pos(P), 0, Cnt, false);
-          Acc = B.vfma(VA2, VX2, Acc);
-        }
-        Dot = B.vreduceAdd(Acc);
-      } else if (Nu > 1) {
-        int Acc = B.vconst(0.0);
-        for (int P = PLo; P < PHi; P += Nu) {
-          int Cnt = std::min(Nu, PHi - P);
-          int VA = loadSpan(B, *A.V, A.Trans, R, Pos(P), Cnt, true);
-          int VX = loadSpan(B, *X.V, X.Trans, Pos(P), 0, Cnt, false);
-          Acc = B.vfma(VA, VX, Acc);
-        }
-        Dot = B.vreduceAdd(Acc);
-      } else {
-        int Acc = B.sconst(0.0);
-        for (int P = PLo; P < PHi; ++P) {
-          int EA = loadElem(B, *A.V, A.Trans, R, Pos(P));
-          int EX = loadElem(B, *X.V, X.Trans, Pos(P), 0);
-          Acc = B.sbin(Op::SAdd, Acc, B.sbin(Op::SMul, EA, EX));
-        }
-        Dot = Acc;
-      }
+      int Dot = emitDot(A, X, R, PLo, PHi);
       if (CoefReg[T] >= 0)
         Dot = B.sbin(Op::SMul, Dot, CoefReg[T]);
       Combine(Dot, CoefReg[T] >= 0 ? 1 : Tm.Sign);

@@ -6,8 +6,9 @@
 ///
 /// \file
 /// The LGen compilation layer (paper Sec. 2.1 / Stage 2): a single sBLAC on
-/// fixed-size operand views is decomposed into nu-wide register tiles mapped
-/// onto the nu-BLAC codelets, with matrix structure propagated to (a) skip
+/// fixed-size operand views is decomposed into register tiles mapped onto
+/// the nu-BLAC codelets -- each tile as wide as its live lanes, at most nu
+/// (see lgen::tileWidth) -- with matrix structure propagated to (a) skip
 /// zero tiles and terms, (b) restrict reduction ranges over triangular
 /// factors, and (c) compute only the stored triangle of symmetric outputs.
 /// Tiles are emitted either fully unrolled (small statements; enables the

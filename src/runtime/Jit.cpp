@@ -352,16 +352,19 @@ std::optional<JitKernel> JitKernel::compile(const std::string &CSource,
   // an AVX-2 build machine). Persistent objects may be served to other
   // machines from a shared cache directory, so they get only the keyed
   // ISA's instruction sets (-mtune=native schedules for the builder
-  // without enabling anything the cache key does not promise).
+  // without enabling anything the cache key does not promise). The C-IR
+  // places every fused multiply-add explicitly (and the interpreter mirrors
+  // it), so the compiler must not contract mul+add pairs on its own.
   const Words Cc = compilerWords();
   const Words Extra = splitWords(Opts.ExtraFlags);
   Words CodeFlags = {"-O2", KeepSo ? "-mtune=native" : "-march=native",
-                     "-fno-math-errno", "-fPIC"};
+                     "-fno-math-errno", "-ffp-contract=off", "-fPIC"};
   CodeFlags.insert(CodeFlags.end(), Extra.begin(), Extra.end());
   std::string Prologue = PrologueRegistry::global().headerFor(Cc, CodeFlags);
   Words Argv = Cc;
   for (const char *W : {"-O2", KeepSo ? "-mtune=native" : "-march=native",
-                        "-fno-math-errno", "-shared", "-fPIC"})
+                        "-fno-math-errno", "-ffp-contract=off", "-shared",
+                        "-fPIC"})
     Argv.push_back(W);
   if (!Prologue.empty()) {
     Argv.push_back("-include");

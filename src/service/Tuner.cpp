@@ -140,7 +140,7 @@ service::verifyBeforeCompile(const GenResult &R, const GenOptions &O,
                              bool Batched, BatchStrategy Strategy) {
   if (fault::anyArmed() && fault::shouldFire("corrupt-ir")) {
     cir::Function Broken = R.Func;
-    Broken.RegIsVec.push_back(false);
+    Broken.RegWidth.push_back(1);
     return cir::verifyFirst(Broken);
   }
   return verifyEmittedIR(R, &O, Batched, Strategy);

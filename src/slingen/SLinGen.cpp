@@ -193,7 +193,9 @@ uint64_t slingen::optionsFingerprint(const GenOptions &O) {
   // inputs -- e.g. new instruction lowerings or batch-driver shapes -- so
   // cached shared objects keyed on the fingerprint can never serve stale
   // code. v2: masked fused batch tails, FMA contraction, aligned locals.
-  constexpr uint64_t EmissionVersion = 2;
+  // v3: per-tile register widths, explicit scalar FMAs, no implicit
+  // contraction by the C compiler.
+  constexpr uint64_t EmissionVersion = 3;
   Fnv1a64 H;
   H.num(EmissionVersion);
   H.str(O.Isa->Name);

@@ -487,4 +487,201 @@ TEST(CEmitter, MaskedOpsTakeActiveParamPerIsa) {
   }
 }
 
+//===----------------------------------------------------------------------===//
+// Fresh-zero accumulators, scalar FMAs, per-register widths.
+//===----------------------------------------------------------------------===//
+
+TEST(CirPasses, CseFoldsFreshZeroAccumulators) {
+  // C[0:4] = 0 + A[0:4]; C[4:8] = fma(A, A, 0); C[8] = 0 + A[8].
+  Kernel2 K;
+  FuncBuilder B("k", 4);
+  int VZ = B.vconst(0.0);
+  int V = B.vload(B.addr(K.A, 0), 4);
+  B.vstore(B.addr(K.C, 0), B.vbin(Op::VAdd, VZ, V), 4);
+  B.vstore(B.addr(K.C, 4), B.vfma(V, V, VZ), 4);
+  int SZ = B.sconst(0.0);
+  int S = B.sload(B.addr(K.A, 8));
+  B.sstore(B.addr(K.C, 8), B.sbin(Op::SAdd, SZ, S));
+  Function F = B.take({K.A, K.C});
+  cse(F);
+  dce(F);
+  std::map<Op, int> C = opCounts(F);
+  EXPECT_EQ(C[Op::VAdd], 0) << F.str();
+  EXPECT_EQ(C[Op::VFma], 0) << F.str();
+  EXPECT_EQ(C[Op::VMul], 1) << F.str();
+  EXPECT_EQ(C[Op::SAdd], 0) << F.str();
+  EXPECT_EQ(C[Op::VConst] + C[Op::SConst], 0) << F.str();
+  interpretVerified(F, K.buffers());
+  for (int L = 0; L < 4; ++L) {
+    EXPECT_EQ(K.CBuf[L], K.ABuf[L]);
+    EXPECT_EQ(K.CBuf[4 + L], K.ABuf[L] * K.ABuf[L]);
+  }
+  EXPECT_EQ(K.CBuf[8], K.ABuf[8]);
+}
+
+TEST(CirPasses, FreshZeroFoldKeepsANegativeZero) {
+  // The fold's one semantic change: 0.0 + -0.0 is +0.0, the folded form
+  // passes -0.0 through. The interpreter runs the folded IR, so it and the
+  // compiled kernel agree either way. Only +0.0 (what the tiler creates)
+  // counts as a fresh zero; an add of -0.0 is left alone.
+  for (double Zero : {0.0, -0.0}) {
+    Kernel2 K;
+    K.ABuf[0] = -0.0;
+    FuncBuilder B("k", 1);
+    int Z = B.sconst(Zero);
+    int X = B.sload(B.addr(K.A, 0));
+    B.sstore(B.addr(K.C, 0), B.sbin(Op::SAdd, Z, X));
+    Function F = B.take({K.A, K.C});
+    interpretVerified(F, K.buffers());
+    const double Unfolded = K.CBuf[0];
+    cse(F);
+    interpretVerified(F, K.buffers());
+    EXPECT_EQ(opCounts(F)[Op::SAdd], std::signbit(Zero) ? 1 : 0) << F.str();
+    EXPECT_EQ(std::signbit(Unfolded), std::signbit(Zero));
+    EXPECT_TRUE(std::signbit(K.CBuf[0]));
+  }
+}
+
+TEST(CirPasses, CseKeepsWidthsAndSignedZerosApart) {
+  // Equal immediates of different widths (or signs) are different values.
+  Kernel2 K;
+  FuncBuilder B("k", 4);
+  int Y = B.vconst(1.0, 4);
+  int X = B.vconst(1.0, 2);
+  int P = B.sconst(0.0), N = B.sconst(-0.0);
+  B.vstore(B.addr(K.C, 0), Y, 4);
+  B.vstore(B.addr(K.C, 4), X, 2);
+  B.sstore(B.addr(K.C, 6), P);
+  B.sstore(B.addr(K.C, 7), N);
+  Function F = B.take({K.A, K.C});
+  cse(F);
+  EXPECT_EQ(opCounts(F)[Op::VConst], 2) << F.str();
+  EXPECT_EQ(opCounts(F)[Op::SConst], 2) << F.str();
+  interpretVerified(F, K.buffers());
+  EXPECT_FALSE(std::signbit(K.CBuf[6]));
+  EXPECT_TRUE(std::signbit(K.CBuf[7]));
+}
+
+TEST(CirPasses, ContractFmaFusesScalarChains) {
+  // acc = a0*b0 + a1*b1 - a2*b2 with FMA rounding on an AVX function.
+  Kernel2 K;
+  FuncBuilder B("k", 4);
+  auto Ld = [&](int I) { return B.sload(B.addr(K.A, I)); };
+  int Acc = B.sbin(Op::SMul, Ld(0), Ld(1));
+  Acc = B.sbin(Op::SAdd, Acc, B.sbin(Op::SMul, Ld(2), Ld(3)));
+  Acc = B.sbin(Op::SSub, Acc, B.sbin(Op::SMul, Ld(4), Ld(5)));
+  B.sstore(B.addr(K.C, 0), Acc);
+  Function F = B.take({K.A, K.C});
+  contractFma(F);
+  std::map<Op, int> C = opCounts(F);
+  EXPECT_EQ(C[Op::SFma], 1) << F.str();
+  EXPECT_EQ(C[Op::SFnma], 1) << F.str();
+  EXPECT_EQ(C[Op::SMul], 1) << F.str();
+  interpretVerified(F, K.buffers());
+  const std::vector<double> &A = K.ABuf;
+  EXPECT_EQ(K.CBuf[0],
+            std::fma(-A[4], A[5], std::fma(A[2], A[3], A[0] * A[1])));
+}
+
+TEST(CirInterp, ReduceAddIsAHalvingTree) {
+  // Lanes chosen so every association order rounds differently.
+  Kernel2 K;
+  K.ABuf = {1e16, 1.0, -1e16, 1.0, 3.0, -1.0, 0.5, 0.25,
+            0,    0,   0,     0,   0,   0,    0,   0};
+  FuncBuilder B("k", 8);
+  int Z = B.vload(B.addr(K.A, 0), 8);
+  int Y = B.vload(B.addr(K.A, 0), 4, 4);
+  B.sstore(B.addr(K.C, 0), B.vreduceAdd(Z));
+  B.sstore(B.addr(K.C, 1), B.vreduceAdd(Y));
+  Function F = B.take({K.A, K.C});
+  interpretVerified(F, K.buffers());
+  const std::vector<double> &A = K.ABuf;
+  EXPECT_EQ(K.CBuf[0], ((A[0] + A[4]) + (A[2] + A[6])) +
+                           ((A[1] + A[5]) + (A[3] + A[7])));
+  EXPECT_EQ(K.CBuf[1], (A[0] + A[2]) + (A[1] + A[3]));
+}
+
+TEST(CirInterp, ShuffleAcrossWidths) {
+  // A 2-lane result from 4-lane sources and a 4-lane result from 2-lane
+  // ones (new lanes zero).
+  Kernel2 K;
+  FuncBuilder B("k", 4);
+  int Y = B.vload(B.addr(K.A, 0), 4);    // 1 2 3 4
+  int X = B.vload(B.addr(K.A, 4), 2, 2); // 5 6
+  int Narrow = B.vshuffle(Y, Y, {3, 1});
+  int Wide = B.vshuffle(X, X, {1, -1, 2, 0});
+  B.vstore(B.addr(K.C, 0), Narrow, 2);
+  B.vstore(B.addr(K.C, 4), Wide, 4);
+  Function F = B.take({K.A, K.C});
+  interpretVerified(F, K.buffers());
+  EXPECT_EQ(K.CBuf[0], 4.0);
+  EXPECT_EQ(K.CBuf[1], 2.0);
+  EXPECT_EQ(K.CBuf[4], 6.0);
+  EXPECT_EQ(K.CBuf[5], 0.0);
+  EXPECT_EQ(K.CBuf[6], 5.0);
+  EXPECT_EQ(K.CBuf[7], 5.0);
+}
+
+TEST(CirPasses, ForwardingAcrossWidthsBecomesAShuffle) {
+  // A 4-lane store reloaded as two lanes: no memory round trip.
+  Kernel2 K;
+  FuncBuilder B("k", 4);
+  int Y = B.vload(B.addr(K.A, 0), 4);
+  int S = B.vbin(Op::VAdd, Y, Y);
+  B.vstore(B.addr(K.C, 0), S, 4);
+  int X = B.vload(B.addr(K.C, 2), 2, 2);
+  B.vstore(B.addr(K.C, 8), X, 2);
+  Function F = B.take({K.A, K.C});
+  loadStoreOpt(F);
+  int Loads = 0;
+  for (const Node &N : F.Body)
+    if (const auto *I = std::get_if<Inst>(&N))
+      Loads += I->K == Op::VLoad;
+  EXPECT_EQ(Loads, 1) << F.str();
+  interpretVerified(F, K.buffers());
+  EXPECT_EQ(K.CBuf[8], 6.0);
+  EXPECT_EQ(K.CBuf[9], 8.0);
+}
+
+TEST(CirPasses, ReloadOfScalarStoresIsAssembled) {
+  // Two scalar stores reloaded as one vector would stall store forwarding;
+  // the load/store analysis builds the vector in registers instead.
+  Kernel2 K;
+  FuncBuilder B("k", 2);
+  int A0 = B.sload(B.addr(K.A, 0));
+  int A1 = B.sload(B.addr(K.A, 5));
+  B.sstore(B.addr(K.C, 0), B.sbin(Op::SAdd, A0, A1));
+  B.sstore(B.addr(K.C, 1), B.sbin(Op::SMul, A0, A1));
+  int V = B.vload(B.addr(K.C, 0), 2);
+  B.vstore(B.addr(K.C, 4), B.vbin(Op::VAdd, V, V), 2);
+  Function F = B.take({K.A, K.C});
+  loadStoreOpt(F);
+  EXPECT_EQ(opCounts(F)[Op::VLoad], 0) << F.str();
+  interpretVerified(F, K.buffers());
+  EXPECT_EQ(K.CBuf[4], 2 * (1.0 + 6.0));
+  EXPECT_EQ(K.CBuf[5], 2 * (1.0 * 6.0));
+}
+
+TEST(CEmitter, NarrowRegistersUseTheirOwnIntrinsics) {
+  // Inside an AVX-512 function: 2- and 4-lane registers get SSE/AVX types,
+  // lane extracts stay in registers, scalar FMAs call fma().
+  Kernel2 K;
+  FuncBuilder B("k", 8);
+  int Y = B.vload(B.addr(K.A, 0), 3, 4);
+  int X = B.vload(B.addr(K.A, 4), 2, 2);
+  int E = B.vextract(Y, 2);
+  int F2 = B.vfma(X, X, B.vbroadcast(E, 2));
+  B.vstore(B.addr(K.C, 0), F2, 2);
+  B.sstore(B.addr(K.C, 2), E);
+  Function F = B.take({K.A, K.C});
+  std::string C = emitFunction(F);
+  EXPECT_NE(C.find("__m256d r0;"), std::string::npos) << C;
+  EXPECT_NE(C.find("__m128d r1;"), std::string::npos) << C;
+  EXPECT_NE(C.find("_mm256_maskload_pd(A + 0, mk3)"), std::string::npos)
+      << C;
+  EXPECT_NE(C.find("_mm_fmadd_pd"), std::string::npos) << C;
+  EXPECT_EQ(C.find("__m512d"), std::string::npos) << C;
+  EXPECT_EQ(C.find("t2_["), std::string::npos) << C;
+}
+
 } // namespace

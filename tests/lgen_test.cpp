@@ -11,13 +11,20 @@
 #include "cir/Interp.h"
 #include "cir/Passes.h"
 #include "expr/Evaluator.h"
+#include "isa/ISA.h"
+#include "la/Lower.h"
+#include "la/Programs.h"
 #include "lgen/Tiler.h"
 #include "lgen/VectorRules.h"
+#include "slingen/SLinGen.h"
 #include "support/Random.h"
 
 #include "TestData.h"
 
 #include <gtest/gtest.h>
+
+#include <functional>
+#include <regex>
 
 using namespace slingen;
 using namespace slingen::testdata;
@@ -352,6 +359,79 @@ TEST(VectorRules, ColumnRunsMerge) {
   ASSERT_EQ(P.stmts().size(), 1u);
   EXPECT_EQ(P.stmts()[0].Lhs->rows(), 6);
   EXPECT_EQ(P.stmts()[0].Lhs->cols(), 1);
+}
+
+//===----------------------------------------------------------------------===//
+// Emission shape: every register tile at the width of its live lanes.
+//===----------------------------------------------------------------------===//
+
+/// Lanes an instruction with a vector result (or stored operand) carries.
+int liveLanes(const cir::Inst &I) {
+  switch (I.K) {
+  case cir::Op::VLoad:
+  case cir::Op::VLoadStrided:
+  case cir::Op::VStore:
+  case cir::Op::VStoreStrided:
+    return I.Lanes;
+  case cir::Op::VShuffle: {
+    int N = 0;
+    for (int S : I.Sel)
+      N += S >= 0;
+    return N;
+  }
+  default:
+    return -1; // arithmetic: as live as its operands
+  }
+}
+
+void checkShape(const cir::Function &F, const std::string &C,
+                size_t ParentBytes) {
+  // No vector round trips through stack arrays.
+  EXPECT_FALSE(std::regex_search(C, std::regex(R"(double t\d+_\[)")));
+  // Horizontal sums are halving trees of narrower adds.
+  EXPECT_EQ(C.find("_mm512_reduce_add_pd"), std::string::npos);
+  // A 512-bit load, store, gather or shuffle holds at least five lanes.
+  std::function<void(const std::vector<cir::Node> &)> Walk =
+      [&](const std::vector<cir::Node> &Body) {
+        for (const cir::Node &N : Body) {
+          if (const auto *L = std::get_if<cir::Loop>(&N)) {
+            Walk(L->Body);
+            continue;
+          }
+          const cir::Inst &I = std::get<cir::Inst>(N);
+          int Reg = cir::hasDst(I.K) ? I.Dst : I.A;
+          if (!cir::isVector(I.K) || Reg < 0 || F.RegWidth[Reg] != 8)
+            continue;
+          int Live = liveLanes(I);
+          EXPECT_TRUE(Live < 0 || Live >= 5) << I.str();
+        }
+      };
+  Walk(F.Body);
+  // The emission this replaced, on the same program.
+  EXPECT_LE(C.size(), ParentBytes);
+}
+
+TEST(EmissionShape, Avx512TilesUseTheirLiveWidth) {
+  struct Case {
+    std::string Source;
+    size_t ParentBytes; ///< emitC size before per-tile widths
+  };
+  for (const Case &K : {Case{la::potrfSource(4), 4052},
+                        Case{la::trsylSource(4), 11531},
+                        Case{la::trsylSource(12), 173358}}) {
+    std::string Err;
+    auto P = la::compileLa(K.Source, Err);
+    ASSERT_TRUE(P) << Err;
+    GenOptions O;
+    O.Isa = &avx512Isa();
+    O.FuncName = "k";
+    Generator G(std::move(*P), O);
+    ASSERT_TRUE(G.isValid()) << G.error();
+    auto R = G.best(16);
+    ASSERT_TRUE(R);
+    SCOPED_TRACE(K.Source);
+    checkShape(R->Func, emitC(*R), K.ParentBytes);
+  }
 }
 
 } // namespace

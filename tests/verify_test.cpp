@@ -251,11 +251,11 @@ TEST(VerifyOracle, VerifyEmittedIRAcceptsEveryStrategy) {
 }
 
 TEST(VerifyOracle, VerifyEmittedIRRejectsCorruptedResult) {
-  // The shape the service's corrupt-ir fault point injects: a RegIsVec
+  // The shape the service's corrupt-ir fault point injects: a RegWidth
   // that no longer matches NumRegs.
   auto E = potrfEmissions();
   ASSERT_TRUE(E);
-  E->R.Func.RegIsVec.push_back(false);
+  E->R.Func.RegWidth.push_back(1);
   auto VE = verifyEmittedIR(E->R, &E->O, /*Batched=*/true,
                             BatchStrategy::InstanceParallelFused);
   ASSERT_TRUE(VE);
@@ -267,7 +267,7 @@ TEST(VerifyOracle, ReportTextAndNames) {
   ScalarKernel K;
   std::string Ok = verifyReportText(K.F);
   EXPECT_NE(Ok.find("sk: ok ("), std::string::npos) << Ok;
-  K.F.RegIsVec.push_back(true);
+  K.F.RegWidth.push_back(4);
   std::string Bad = verifyReportText(K.F);
   EXPECT_NE(Bad.find("bad-register"), std::string::npos) << Bad;
   auto First = verifyFirst(K.F);
@@ -282,7 +282,8 @@ TEST(VerifyOracle, ReportTextAndNames) {
         VerifyKind::BadLoop, VerifyKind::UnknownBuffer,
         VerifyKind::ReadOnlyStore, VerifyKind::MaskOutsideTail,
         VerifyKind::MissingMask, VerifyKind::FmaMultiUse,
-        VerifyKind::OutOfBounds, VerifyKind::Misaligned})
+        VerifyKind::OutOfBounds, VerifyKind::Misaligned,
+        VerifyKind::VectorInScalar})
     EXPECT_STRNE(verifyKindName(N), "?");
 }
 
@@ -307,9 +308,9 @@ TEST(VerifyMutation, DroppedDefinition) {
   EXPECT_TRUE(rejectsWith(K.F, VerifyKind::UseBeforeDef));
 }
 
-TEST(VerifyMutation, RegIsVecSizeMismatch) {
+TEST(VerifyMutation, RegWidthSizeMismatch) {
   ScalarKernel K;
-  K.F.RegIsVec.push_back(false);
+  K.F.RegWidth.push_back(1);
   EXPECT_TRUE(rejectsWith(K.F, VerifyKind::BadRegister));
 }
 
@@ -339,8 +340,8 @@ TEST(VerifyMutation, FlippedRegisterWidth) {
   // disagree with the opcode signatures.
   for (Inst *I : insts(K.F))
     if (I->K == Op::VMul) {
-      ASSERT_LT(I->Dst, static_cast<int>(K.F.RegIsVec.size()));
-      K.F.RegIsVec[I->Dst] = false;
+      ASSERT_LT(I->Dst, static_cast<int>(K.F.RegWidth.size()));
+      K.F.RegWidth[I->Dst] = 1;
       break;
     }
   EXPECT_TRUE(rejectsWith(K.F, VerifyKind::WidthMismatch));
@@ -579,6 +580,136 @@ TEST(VerifyMutation, VecBlockMisalignedLocal) {
   if (!Mutated)
     GTEST_SKIP() << "emission has no contiguous local access to mutate";
   EXPECT_TRUE(rejectsWith(E->VecBlk.Func, VerifyKind::Misaligned));
+}
+
+//===----------------------------------------------------------------------===//
+// Per-register widths and the nu = 1 contract.
+//===----------------------------------------------------------------------===//
+
+TEST(VerifyMutation, VectorInstructionInScalarFunction) {
+  // A scalar translation unit declares no vector types, so any V* in a
+  // nu = 1 function would fail to compile; it is typed IR, not a cc error.
+  ScalarKernel K;
+  auto *L = std::get_if<Loop>(&K.F.Body.front());
+  ASSERT_TRUE(L);
+  Inst Z;
+  Z.K = Op::VConst;
+  Z.Dst = K.F.NumRegs++;
+  K.F.RegWidth.push_back(2);
+  L->Body.insert(L->Body.begin(), Z);
+  EXPECT_TRUE(rejectsWith(K.F, VerifyKind::VectorInScalar));
+}
+
+/// An AVX function mixing 4- and 2-lane registers: C[0:4] = A[0:4] * A[0:4]
+/// and C[4:6] = A[4:6] + A[4:6].
+struct MixedKernel {
+  Program P;
+  Operand *A, *C;
+  Function F;
+
+  MixedKernel() {
+    A = P.addOperand("A", 2, 4);
+    C = P.addOperand("C", 2, 4);
+    C->IO = IOKind::Out;
+    FuncBuilder B("mk", 4);
+    int Y = B.vload(B.addr(A, 0), 4);
+    B.vstore(B.addr(C, 0), B.vbin(Op::VMul, Y, Y), 4);
+    int X = B.vload(B.addr(A, 4), 2, 2);
+    B.vstore(B.addr(C, 4), B.vbin(Op::VAdd, X, X), 2);
+    F = B.take({A, C});
+  }
+};
+
+TEST(VerifyMutation, MixedWidthsAreClean) {
+  MixedKernel K;
+  EXPECT_TRUE(verifiesClean(K.F));
+}
+
+TEST(VerifyMutation, OperandsOfDifferentWidths) {
+  MixedKernel K;
+  for (Inst *I : insts(K.F))
+    if (I->K == Op::VAdd) {
+      I->B = 0; // the 4-lane load
+      break;
+    }
+  EXPECT_TRUE(rejectsWith(K.F, VerifyKind::WidthMismatch));
+}
+
+TEST(VerifyMutation, RegisterWiderThanFunction) {
+  MixedKernel K;
+  K.F.RegWidth[0] = 8;
+  EXPECT_TRUE(rejectsWith(K.F, VerifyKind::WidthMismatch));
+}
+
+TEST(VerifyMutation, LanesBeyondRegisterWidth) {
+  MixedKernel K;
+  for (Inst *I : insts(K.F))
+    if (I->K == Op::VStore && I->Lanes == 2) {
+      I->Lanes = 3; // fits nu = 4, not the 2-lane register
+      break;
+    }
+  EXPECT_TRUE(rejectsWith(K.F, VerifyKind::BadLane));
+}
+
+//===----------------------------------------------------------------------===//
+// Loop variables take values on their step grid.
+//===----------------------------------------------------------------------===//
+
+/// for i0 = 0:20:S, i1 = Lo:20:2 -- a 2-lane load of A[Offset + 20*i0 + i1]
+/// over a 20x20 A. Plain: S = 1, Lo = 0; triangular: S = 2, Lo = i0 (the
+/// tiler's symmetric tile loops). Either way i1 ends at 18, not 19.
+Function stepGridKernel(Program &P, int Offset, bool Triangular) {
+  Operand *A = P.addOperand("A", 20, 20);
+  Operand *C = P.addOperand("C", 20, 20);
+  C->IO = IOKind::Out;
+  FuncBuilder B("sg", 2);
+  int I0 = B.beginLoop(0, 20, Triangular ? 2 : 1);
+  int I1 = Triangular ? B.beginLoopAffine(0, I0, 1, 20, 2)
+                      : B.beginLoop(0, 20, 2);
+  int V = B.vload(B.addr(A, Offset, {{I0, 20}, {I1, 1}}), 2);
+  B.vstore(B.addr(C, 0, {{I0, 20}, {I1, 1}}), V, 2);
+  B.endLoop();
+  B.endLoop();
+  return B.take({A, C});
+}
+
+TEST(VerifyBounds, StepTwoAccessVerifies) {
+  Program P;
+  EXPECT_TRUE(verifiesClean(stepGridKernel(P, 0, /*Triangular=*/false)));
+}
+
+TEST(VerifyBounds, StepTwoAccessShiftedByOneIsRejected) {
+  Program P;
+  EXPECT_TRUE(rejectsWith(stepGridKernel(P, 1, /*Triangular=*/false),
+                          VerifyKind::OutOfBounds));
+}
+
+TEST(VerifyBounds, TriangularStepGridVerifies) {
+  // i1 starts at i0, itself on the step-2 grid, so every start is even:
+  // the tile's second row (Offset 20) ends at element 399.
+  Program P;
+  EXPECT_TRUE(verifiesClean(stepGridKernel(P, 20, /*Triangular=*/true)));
+  Program Q;
+  EXPECT_TRUE(rejectsWith(stepGridKernel(Q, 21, /*Triangular=*/true),
+                          VerifyKind::OutOfBounds));
+}
+
+TEST(VerifyOracle, Sse2SizeTwentyKernelsVerify) {
+  // The step-grid bound: sse2 loop tiles used to be refused as touching
+  // one element past the matrix.
+  for (const std::string &Src :
+       {la::potrfSource(20), la::trsylSource(20), la::trlyaSource(20)}) {
+    std::string Err;
+    auto P = la::compileLa(Src, Err);
+    ASSERT_TRUE(P) << Err;
+    GenOptions O;
+    O.Isa = &sse2Isa();
+    Generator G(std::move(*P), O);
+    ASSERT_TRUE(G.isValid()) << G.error();
+    auto R = G.best(4);
+    ASSERT_TRUE(R);
+    EXPECT_TRUE(verifiesClean(R->Func));
+  }
 }
 
 } // namespace

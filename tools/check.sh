@@ -118,6 +118,109 @@ for LA in "$ROOT"/examples/*.la; do
   "$BUILD/slc" -verify-ir -batch -isa avx "$LA" > /dev/null
 done
 
+echo "== C-IR verifier over the paper kernels =="
+# The paper's 18 benchmark programs (la/Programs.cpp) on every ISA: the
+# static verifier must accept each single-instance kernel (slc exits
+# non-zero on any rejection). The differential ctest runs the same kernels
+# against both oracles, in every leg including the sanitized ones.
+paper_la() {
+  N=$2
+  case $1 in
+  potrf) cat <<EOF
+Mat A($N, $N) <In, UpSym, PD>;
+Mat X($N, $N) <Out, UpTri, NS>;
+X' * X = A;
+EOF
+    ;;
+  trsyl) cat <<EOF
+Mat L($N, $N) <In, LoTri, NS>;
+Mat U($N, $N) <In, UpTri, NS>;
+Mat C($N, $N) <In>;
+Mat X($N, $N) <Out>;
+L * X + X * U = C;
+EOF
+    ;;
+  trlya) cat <<EOF
+Mat L($N, $N) <In, LoTri, NS>;
+Mat S($N, $N) <In, LoSym>;
+Mat X($N, $N) <Out, LoSym>;
+L * X + X * L' = S;
+EOF
+    ;;
+  trtri) cat <<EOF
+Mat L($N, $N) <In, LoTri, NS>;
+Mat X($N, $N) <Out, LoTri, NS>;
+X = inv(L);
+EOF
+    ;;
+  kf) cat <<EOF
+Mat F($N, $N) <In>; Mat Bm($N, $N) <In>; Mat Q($N, $N) <In, UpSym>;
+Mat H($N, $N) <In>; Mat R($N, $N) <In, UpSym, PD>;
+Mat P($N, $N) <InOut, UpSym, PD>;
+Vec u($N) <In>; Vec x($N) <InOut>; Vec z($N) <In>; Vec y($N) <Out>;
+Mat Y($N, $N) <Out, UpSym>; Vec v0($N) <Out>;
+Mat M1($N, $N) <Out>; Mat M2($N, $N) <Out>;
+Mat M3($N, $N) <Out, UpSym, PD>; Mat U($N, $N) <Out, UpTri, NS, ow(M3)>;
+Vec v1($N) <Out>; Vec v2($N) <Out>;
+Mat M4($N, $N) <Out, ow(M1)>; Mat M5($N, $N) <Out, ow(M4)>;
+y = F * x + Bm * u;
+Y = F * P * F' + Q;
+v0 = z - H * y;
+M1 = H * Y;
+M2 = Y * H';
+M3 = M1 * H' + R;
+U' * U = M3;
+U' * v1 = v0;
+U * v2 = v1;
+U' * M4 = M1;
+U * M5 = M4;
+x = y + M2 * v2;
+P = Y - M2 * M5;
+EOF
+    ;;
+  gpr) cat <<EOF
+Mat K($N, $N) <In, UpSym, PD>; Mat X($N, $N) <In>; Vec x($N) <In>;
+Vec y($N) <In>; Mat L($N, $N) <Out, LoTri, NS, ow(K)>;
+Vec t0($N) <Out>; Vec t1($N) <Out>; Vec k($N) <Out>; Vec v($N) <Out>;
+Sca phi <Out>; Sca psi <Out>; Sca lambda <Out>;
+L * L' = K;
+L * t0 = y;
+L' * t1 = t0;
+k = X * x;
+phi = k' * t1;
+L * v = k;
+psi = x' * x - v' * v;
+lambda = y' * t1;
+EOF
+    ;;
+  l1a) cat <<EOF
+Mat W($N, $N) <In>; Mat A($N, $N) <In>; Vec x0($N) <In>; Vec y($N) <In>;
+Vec v1($N) <InOut>; Vec z1($N) <InOut>; Vec v2($N) <InOut>;
+Vec z2($N) <InOut>; Sca alpha <In>; Sca beta <In>; Sca tau <In>;
+Vec y1($N) <Out>; Vec y2($N) <Out>; Vec x1($N) <Out>; Vec x($N) <Out>;
+y1 = alpha * v1 + tau * z1;
+y2 = alpha * v2 + tau * z2;
+x1 = W' * y1 - A' * y2;
+x = x0 + beta * x1;
+z1 = y1 - W * x;
+z2 = y2 - (y - A * x);
+v1 = alpha * v1 + tau * z1;
+v2 = alpha * v2 + tau * z2;
+EOF
+    ;;
+  esac
+}
+PAPER_LA="$SMOKE_CACHE/paper.la"
+for KERNEL in potrf:4 potrf:12 potrf:20 trsyl:4 trsyl:12 trsyl:20 \
+  trlya:4 trlya:12 trlya:20 trtri:4 trtri:12 trtri:20 \
+  kf:4 kf:12 gpr:4 gpr:12 l1a:4 l1a:12; do
+  paper_la "${KERNEL%%:*}" "${KERNEL##*:}" > "$PAPER_LA"
+  for ISA in scalar sse2 avx avx512; do
+    "$BUILD/slc" -verify-ir -isa "$ISA" "$PAPER_LA" > /dev/null \
+      2> "$SMOKE_OUT" || { echo "-- $KERNEL $ISA"; cat "$SMOKE_OUT"; exit 1; }
+  done
+done
+
 echo "== threaded-batch smoke =="
 # A batched entry produced with a pinned dispatch width must record it in
 # the disk tier's .meta (threads=4), and the fused no-transpose emission
