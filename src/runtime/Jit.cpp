@@ -11,6 +11,7 @@
 #include "support/File.h"
 #include "support/Format.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <cstdio>
@@ -21,10 +22,13 @@
 #include <map>
 #include <mutex>
 #include <sstream>
+#include <system_error>
+#include <thread>
 #include <vector>
 
 #include <dlfcn.h>
 #include <fcntl.h>
+#include <sched.h>
 #include <spawn.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -324,12 +328,12 @@ std::optional<JitKernel> JitKernel::compile(const std::string &CSource,
   }
   std::string CPath = CDir + "/slingen_tu.c", LogPath = CDir + "/cc.log";
   bool KeepSo = !Opts.KeepSoPath.empty();
-  // Persistent objects are compiled to a temporary and renamed into place,
-  // so concurrent processes sharing a cache directory never dlopen a
-  // half-written file.
+  // Persistent objects are compiled to a temporary of this writer's own and
+  // renamed into place, so concurrent writers sharing a cache directory
+  // (other processes or other services in this one) never dlopen a
+  // half-written file or publish each other's.
   std::string FinalSoPath = KeepSo ? Opts.KeepSoPath : uniqueBase() + ".so";
-  std::string SoPath = KeepSo ? Opts.KeepSoPath + formatf(".tmp%d", getpid())
-                              : FinalSoPath;
+  std::string SoPath = KeepSo ? Opts.KeepSoPath + tempSuffix() : FinalSoPath;
   auto RemoveCompileDir = [&] { rmdir(CDir.c_str()); };
 
   {
@@ -488,6 +492,57 @@ std::optional<JitKernel> JitKernel::load(const std::string &SoPath,
   }
   K.NumParams = NumParams;
   return K;
+}
+
+int runtime::affinityCpus() {
+  cpu_set_t Set;
+  CPU_ZERO(&Set);
+  if (sched_getaffinity(0, sizeof(Set), &Set) != 0)
+    return 1;
+  return std::max(CPU_COUNT(&Set), 1);
+}
+
+void runtime::compileAll(std::vector<CompileJob> &Jobs) {
+  const int N = std::min(static_cast<int>(Jobs.size()), affinityCpus());
+  std::atomic<size_t> Next{0};
+  auto Drain = [&] {
+    for (size_t I; (I = Next.fetch_add(1)) < Jobs.size();) {
+      CompileJob &J = Jobs[I];
+      try {
+        J.Kernel = JitKernel::compile(J.CSource, J.FuncName, J.NumParams,
+                                      J.Opts, J.Err);
+      } catch (const std::exception &E) { // must not end a worker thread
+        J.Err = std::string("compile failed: ") + E.what();
+      }
+    }
+  };
+  // Workers stamp the caller's trace id and collect into private
+  // collectors, folded into the caller's once they are joined.
+  const uint64_t TraceId = obs::currentTraceId();
+  obs::SpanCollector *Collector = obs::currentCollector();
+  std::vector<obs::SpanCollector> Collected(N > 1 ? N - 1 : 0);
+  std::vector<std::jthread> Workers; // joined on every path out
+  for (obs::SpanCollector &C : Collected) {
+    try {
+      Workers.emplace_back([&, TraceId, Mine = &C] {
+        obs::ScopedTraceId Trace(TraceId);
+        std::optional<obs::ScopedCollect> Collect;
+        if (Collector)
+          Collect.emplace(*Mine);
+        Drain();
+      });
+    } catch (const std::system_error &) {
+      break; // no thread to spare: the ones running (and the caller) cope
+    }
+  }
+  Drain();
+  Workers.clear();
+  if (Collector)
+    for (const obs::SpanCollector &C : Collected) {
+      for (const obs::Span &S : C.Spans)
+        Collector->add(S);
+      Collector->Overflow += C.Overflow;
+    }
 }
 
 std::string runtime::isaCompileFlags(const VectorISA &Isa) {

@@ -37,6 +37,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <vector>
 
 namespace slingen {
 
@@ -187,6 +188,27 @@ private:
   bool OwnsSo = true;
   std::string SoPath;
 };
+
+/// One JitKernel::compile call of a batch (see compileAll): its arguments,
+/// then its outcome.
+struct CompileJob {
+  std::string CSource;
+  std::string FuncName;
+  int NumParams = 0;
+  CompileOptions Opts;
+  std::optional<JitKernel> Kernel{}; ///< set on success
+  std::string Err{};                 ///< compiler diagnostics on failure
+};
+
+/// CPUs this process may run on (its sched_getaffinity mask), at least 1.
+int affinityCpus();
+
+/// Runs JitKernel::compile for every job, `make -j` style: at most
+/// affinityCpus() compiles at once, one of them on the calling thread,
+/// which returns when all are done. With one CPU in the mask the jobs run
+/// serially, in order, on the caller. Spans finished on worker threads
+/// carry the caller's trace id and join its span collector.
+void compileAll(std::vector<CompileJob> &Jobs);
 
 /// Compiler flags enabling the instruction set the emitted C for \p Isa
 /// uses. Targeting is independent of the host: an avx512 kernel generated on

@@ -283,7 +283,7 @@ bool KernelCache::storeToDisk(const KernelArtifact &A, std::string &Err) {
   }
   // Both files are published via rename: concurrent readers (other threads
   // or other processes sharing the directory) never see torn content.
-  std::string CTmp = cPathFor(A.Key) + formatf(".tmp%d", getpid());
+  std::string CTmp = cPathFor(A.Key) + tempSuffix();
   {
     std::ofstream Out(CTmp);
     Out << A.CSource;
@@ -308,7 +308,7 @@ bool KernelCache::storeToDisk(const KernelArtifact &A, std::string &Err) {
     if (truncate(cPathFor(A.Key).c_str(), A.CSource.size() / 2) != 0)
       unlink(cPathFor(A.Key).c_str());
   }
-  std::string Tmp = metaPathFor(A.Key) + formatf(".tmp%d", getpid());
+  std::string Tmp = metaPathFor(A.Key) + tempSuffix();
   {
     std::ofstream Out(Tmp);
     Out << "func=" << A.FuncName << "\n";
@@ -400,7 +400,7 @@ namespace {
 
 /// Folds one regular file into the per-key scan state. \p Key is the
 /// reconstructed cache key (shard prefix + stem); files that are not
-/// `.c/.so/.meta` (in-flight `.tmp<pid>` publications, foreign files) are
+/// `.c/.so/.meta` (in-flight `.tmp<pid>_<n>` publications, foreign files) are
 /// skipped.
 template <typename EntryMap>
 void gcAccumulate(EntryMap &Entries, const std::string &Key,

@@ -225,31 +225,35 @@ BatchChoice service::chooseBatchStrategy(const GenResult &R,
   const std::string FuncName = R.Func.Name;
   const int NumParams = static_cast<int>(R.Func.Params.size());
 
+  // One round: verify all three emissions (a rejection refuses the request
+  // before anything compiles), compile them at once, then time them one by
+  // one in this order, so no timing shares the CPUs with a compile.
+  LoopSource = emitBatchedC(R);
   struct Candidate {
     BatchStrategy Strategy;
     const std::string *Source;
     double *CyclesOut;
-    std::optional<runtime::JitKernel> Kernel;
-    double Cycles = 0.0;
   };
-  LoopSource = emitBatchedC(R);
-  Candidate Cands[] = {
-      {BatchStrategy::ScalarLoop, &LoopSource, &C.LoopCycles, {}, 0.0},
-      {BatchStrategy::InstanceParallel, &VecSource, &C.VecCycles, {}, 0.0},
-      {BatchStrategy::InstanceParallelFused, &FusedSource, &C.FusedCycles,
-       {},
-       0.0},
+  const Candidate Cands[] = {
+      {BatchStrategy::ScalarLoop, &LoopSource, &C.LoopCycles},
+      {BatchStrategy::InstanceParallel, &VecSource, &C.VecCycles},
+      {BatchStrategy::InstanceParallelFused, &FusedSource, &C.FusedCycles},
   };
-  Candidate *Best = nullptr;
-  for (Candidate &Cand : Cands) {
+  std::vector<runtime::CompileJob> Jobs;
+  for (const Candidate &Cand : Cands) {
     if ((C.Rejected = verifyBeforeCompile(R, O, /*Batched=*/true,
                                           Cand.Strategy)))
       return C;
-    std::string Err;
-    Cand.Kernel = runtime::JitKernel::compile(
-        *Cand.Source, FuncName, NumParams,
-        candidateOptions(T, /*WithBatchEntry=*/true), Err);
-    if (!Cand.Kernel)
+    Jobs.push_back({.CSource = *Cand.Source,
+                    .FuncName = FuncName,
+                    .NumParams = NumParams,
+                    .Opts = candidateOptions(T, /*WithBatchEntry=*/true)});
+  }
+  runtime::compileAll(Jobs);
+  int BestIdx = -1;
+  for (int I = 0; I < 3; ++I) {
+    std::optional<runtime::JitKernel> &K = Jobs[I].Kernel;
+    if (!K)
       continue;
     obs::ScopedSpan Meas(
         "tuner-measure", "tuner",
@@ -260,21 +264,22 @@ BatchChoice service::chooseBatchStrategy(const GenResult &R,
       runtime::Measurement M = runtime::measureCycles(
           [&] {
             B.refill();
-            Cand.Kernel->callBatch(Count, B.Bufs.data());
+            K->callBatch(Count, B.Bufs.data());
           },
           T.Measure);
       Sum += M.Median;
     }
-    Cand.Cycles = *Cand.CyclesOut = Sum;
-    if (!Best || Cand.Cycles < Best->Cycles)
-      Best = &Cand;
+    *Cands[I].CyclesOut = Sum;
+    if (BestIdx < 0 || Sum < *Cands[BestIdx].CyclesOut)
+      BestIdx = I;
   }
-  if (!Best) {
+  if (BestIdx < 0) {
     TakeWinner();
     return C; // nothing compiled: keep the static choice
   }
   C.Measured = true;
-  C.Strategy = Best->Strategy;
+  C.Strategy = Cands[BestIdx].Strategy;
+  runtime::JitKernel &Winner = *Jobs[BestIdx].Kernel;
 
   // Thread resolution (auto policy only): re-time the winner over a batch
   // large enough to amortize a pool wakeup, single-threaded versus spread
@@ -282,7 +287,7 @@ BatchChoice service::chooseBatchStrategy(const GenResult &R,
   // policies skip this -- the caller already decided.
   if (ThreadsPolicy == 0) {
     const int N = runtime::defaultBatchThreads();
-    if (N > 1 && Best->Kernel->hasBatchSpan()) {
+    if (N > 1 && Winner.hasBatchSpan()) {
       // Large enough to amortize the pool wakeup, plus a ragged tail so
       // the threaded timing includes the masked remainder block.
       const int CountMT = 64 * Nu + Nu / 2;
@@ -293,13 +298,13 @@ BatchChoice service::chooseBatchStrategy(const GenResult &R,
       runtime::Measurement Single = runtime::measureCycles(
           [&] {
             B.refill();
-            Best->Kernel->callBatch(CountMT, B.Bufs.data());
+            Winner.callBatch(CountMT, B.Bufs.data());
           },
           T.Measure);
       runtime::Measurement Threaded = runtime::measureCycles(
           [&] {
             B.refill();
-            runtime::callBatchParallel(*Best->Kernel, CountMT,
+            runtime::callBatchParallel(Winner, CountMT,
                                        B.Bufs.data(), Nu, N);
           },
           T.Measure);
@@ -309,8 +314,8 @@ BatchChoice service::chooseBatchStrategy(const GenResult &R,
       C.Threads = Threaded.Median < Single.Median ? N : 1;
     }
   }
-  // The losing candidates' provisional objects go with Cands.
-  C.Kernel = std::make_shared<runtime::JitKernel>(std::move(*Best->Kernel));
+  // The losing candidates' provisional objects go with Jobs.
+  C.Kernel = std::make_shared<runtime::JitKernel>(std::move(Winner));
   TakeWinner();
   return C;
 }
@@ -334,25 +339,31 @@ std::optional<TuneResult> service::tuneKernel(const Generator &G,
     return Best;
   }
 
+  // One round: verify the top-K (a rejection refuses the request before
+  // anything compiles), compile them at once, then time them one by one in
+  // rank order, so no timing shares the CPUs with a compile.
   int TopK = std::min<int>(std::max(T.TopK, 1), static_cast<int>(All.size()));
-  int BestIdx = -1;
-  double BestCycles = 0.0;
-  std::optional<runtime::JitKernel> BestKernel;
-  std::string LastCompileErr;
   const GenOptions &O = G.options();
+  std::vector<runtime::CompileJob> Jobs;
   for (int I = 0; I < TopK; ++I) {
     if ((Best.Rejected = verifyBeforeCompile(All[I], O, /*Batched=*/false,
                                              BatchStrategy::ScalarLoop))) {
       Best.Result = std::move(All[I]);
       return Best;
     }
-    std::string C = emitC(All[I]);
-    std::string CompileErr;
-    auto K = runtime::JitKernel::compile(
-        C, All[I].Func.Name, static_cast<int>(All[I].Func.Params.size()),
-        candidateOptions(T, /*WithBatchEntry=*/false), CompileErr);
+    Jobs.push_back({.CSource = emitC(All[I]),
+                    .FuncName = All[I].Func.Name,
+                    .NumParams = static_cast<int>(All[I].Func.Params.size()),
+                    .Opts = candidateOptions(T, /*WithBatchEntry=*/false)});
+  }
+  runtime::compileAll(Jobs);
+  int BestIdx = -1;
+  double BestCycles = 0.0;
+  std::string LastCompileErr;
+  for (int I = 0; I < TopK; ++I) {
+    std::optional<runtime::JitKernel> &K = Jobs[I].Kernel;
     if (!K) {
-      LastCompileErr = CompileErr;
+      LastCompileErr = Jobs[I].Err;
       continue;
     }
     ++Best.CandidatesMeasured;
@@ -367,7 +378,6 @@ std::optional<TuneResult> service::tuneKernel(const Generator &G,
     if (BestIdx < 0 || M.Median < BestCycles) {
       BestIdx = I;
       BestCycles = M.Median;
-      BestKernel = std::move(K); // drops the previous leader's object
     }
   }
 
@@ -381,6 +391,8 @@ std::optional<TuneResult> service::tuneKernel(const Generator &G,
   Best.Result = std::move(All[BestIdx]);
   Best.Measured = true;
   Best.MedianCycles = BestCycles;
-  Best.Kernel = std::make_shared<runtime::JitKernel>(std::move(*BestKernel));
+  // The losers' provisional objects go with Jobs.
+  Best.Kernel =
+      std::make_shared<runtime::JitKernel>(std::move(*Jobs[BestIdx].Kernel));
   return Best;
 }

@@ -55,8 +55,8 @@ struct TuneResult {
   /// with the served options; provisional until published.
   std::shared_ptr<runtime::JitKernel> Kernel;
   /// Set when a candidate failed static verification (see
-  /// verifyBeforeCompile): tuning stopped before compiling it, and the
-  /// request must be refused.
+  /// verifyBeforeCompile): tuning stopped before compiling any candidate,
+  /// and the request must be refused.
   std::optional<cir::VerifyError> Rejected;
 };
 
@@ -71,8 +71,12 @@ std::optional<cir::VerifyError> verifyBeforeCompile(const GenResult &R,
                                                     bool Batched,
                                                     BatchStrategy Strategy);
 
-/// Picks the best variant of \p G. Returns std::nullopt (with \p Err) only
-/// when no variant can be generated at all.
+/// Picks the best variant of \p G in one tuning round: the TopK best-ranked
+/// variants are all verified (a rejection returns before any compile
+/// starts), compiled at once (runtime::compileAll, on at most the CPUs of
+/// the affinity mask), then timed one by one in rank order; the lowest
+/// median wins, the earlier rank on ties. Returns std::nullopt (with
+/// \p Err) only when no variant can be generated at all.
 std::optional<TuneResult> tuneKernel(const Generator &G, const TuneOptions &T,
                                      std::string &Err);
 
@@ -101,8 +105,8 @@ struct BatchChoice {
   /// The winner's loaded batched object (when Measured), compiled from
   /// ChosenSource with the served options; provisional until published.
   std::shared_ptr<runtime::JitKernel> Kernel;
-  /// Set when a strategy's emission failed static verification; nothing
-  /// after it was compiled, and the request must be refused.
+  /// Set when a strategy's emission failed static verification; no probe
+  /// was compiled, and the request must be refused.
   std::optional<cir::VerifyError> Rejected;
 };
 
@@ -110,11 +114,12 @@ struct BatchChoice {
 /// \p O: when a compiler, a cycle counter, and a host that can execute the
 /// target ISA are all available (and \p AllowCompile), all three batched
 /// emissions -- the scalar loop, the packed instance-parallel form, and
-/// the fused-layout form -- are verified, JIT-compiled with the served
-/// options (see TuneOptions::KeepSoPath) and timed over two
-/// deterministic instance batches (one divisible by every supported Nu,
-/// one remainder-heavy to exercise the masked tail) and the lowest summed
-/// median wins; otherwise the static
+/// the fused-layout form -- form one tuning round like tuneKernel's: all
+/// are verified first, then JIT-compiled at once with the served options
+/// (see TuneOptions::KeepSoPath), then timed one by one, in that order,
+/// over two deterministic instance batches (one divisible by every
+/// supported Nu, one remainder-heavy to exercise the masked tail); the
+/// lowest summed median wins, the earlier form on ties. Otherwise the static
 /// cost model compares the scalar-loop estimate against the widened
 /// estimates (scalar kernel cost over Nu lanes, plus the AoSoA pack/unpack
 /// traffic for the packed form or the strided-access overhead for the

@@ -13,12 +13,15 @@
 #include "slingen/client.h"
 
 #include "isa/ISA.h"
+#include "la/Lower.h"
 #include "la/Programs.h"
 #include "net/Protocol.h"
 #include "net/Server.h"
 #include "net/Wire.h"
 #include "runtime/Jit.h"
+#include "runtime/Timing.h"
 #include "service/KernelService.h"
+#include "slingen/SLinGen.h"
 #include "support/AlignedBuffer.h"
 #include "support/FaultInject.h"
 #include "support/Random.h"
@@ -32,6 +35,7 @@
 #include <filesystem>
 #include <memory>
 #include <set>
+#include <sstream>
 #include <thread>
 #include <vector>
 
@@ -836,6 +840,73 @@ TEST(ClientTracing, MergedTraceSharesOneTraceIdAcrossTheWire) {
        P = J.find(Marker, P + 1))
     Ids.insert(J.substr(P + strlen(Marker), 16));
   EXPECT_EQ(Ids.size(), 1u) << J;
+}
+
+TEST(ClientTracing, MeasuredMissShipsEveryCompileSpanWithItsTraceId) {
+  if (!runtime::haveSystemCompiler() || !runtime::haveCycleCounter() ||
+      hostIsa().Nu < 2)
+    GTEST_SKIP() << "needs a compiler, a cycle counter and vector lanes";
+  // A measured batched miss compiles TopK' variants, then three strategy
+  // probes, each round on several threads of the daemon.
+  GenOptions O;
+  O.Isa = &hostIsa();
+  std::string Err;
+  auto P = la::compileLa(la::potrfSource(8), Err);
+  ASSERT_TRUE(P) << Err;
+  service::ServiceConfig SC;
+  SC.MeasureRepeats = 3;
+  Generator G(std::move(*P), O);
+  const int Compiles =
+      std::min<int>(SC.TuneTopK,
+                    static_cast<int>(G.enumerate(SC.MaxVariants).size())) +
+      3;
+
+  bool WasOn = sl::tracingEnabled();
+  sl::clearTrace();
+  sl::setTracing(true);
+  TestDaemon D(SC);
+  ASSERT_TRUE(D.Ok);
+  auto S = sl::Session::open(D.Srv->unixPath());
+  ASSERT_TRUE(S) << S.message();
+  auto R = sl::RequestBuilder()
+               .source(la::potrfSource(8))
+               .name("traced_rounds")
+               .isa(hostIsa().Name)
+               .batched()
+               .measure()
+               .wantObject(false)
+               .wantTiming()
+               .build();
+  ASSERT_TRUE(R) << R.message();
+  auto K = S->get(*R);
+  std::string J = sl::exportTraceJson();
+  sl::setTracing(WasOn);
+  sl::clearTrace();
+  ASSERT_TRUE(K) << K.message();
+
+  // The daemon runs in this process, so the export holds each `cc` span
+  // twice: as the daemon recorded it, and as the client merged it from the
+  // reply (its tid offset by 1000). Every one carries the request's id.
+  std::string RoundTripTrace;
+  int Recorded = 0, Shipped = 0;
+  std::set<std::string> CcTraces;
+  std::istringstream In(J);
+  for (std::string Line; std::getline(In, Line);) {
+    size_t T = Line.find("\"trace\": \"");
+    std::string Trace = T == std::string::npos ? "" : Line.substr(T + 10, 16);
+    if (Line.find("\"name\": \"client-roundtrip\"") != std::string::npos)
+      RoundTripTrace = Trace;
+    if (Line.find("\"name\": \"cc\",") == std::string::npos)
+      continue;
+    CcTraces.insert(Trace);
+    size_t Tid = Line.find("\"tid\": ");
+    ASSERT_NE(Tid, std::string::npos) << Line;
+    (std::stoul(Line.substr(Tid + 7)) >= 1000 ? Shipped : Recorded)++;
+  }
+  EXPECT_EQ(Shipped, Compiles) << J;
+  EXPECT_EQ(Recorded, Compiles) << J;
+  ASSERT_FALSE(RoundTripTrace.empty()) << J;
+  EXPECT_EQ(CcTraces, std::set<std::string>{RoundTripTrace}) << J;
 }
 
 } // namespace

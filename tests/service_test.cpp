@@ -14,6 +14,7 @@
 #include "la/Lower.h"
 #include "la/Programs.h"
 #include "obs/Metrics.h"
+#include "obs/Trace.h"
 #include "runtime/Timing.h"
 #include "service/KernelService.h"
 #include "slingen/client.h"
@@ -28,11 +29,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -226,6 +229,56 @@ TEST(ServiceCache, DiskEntryWithoutSoIsRecompiledNotRegenerated) {
   EXPECT_EQ(S2.stats().Compilations, 1); // ...just a recompile
   EXPECT_TRUE(R2->isCallable());
   EXPECT_TRUE(std::filesystem::exists(shardedPath(Dir.Path, Key, ".so")));
+}
+
+TEST(ServiceCache, TwoServicesPublishOneKeyAtOnce) {
+  if (!runtime::haveSystemCompiler())
+    GTEST_SKIP() << "no system C compiler";
+  // Two services in one process on one cache directory (two `local:<dir>`
+  // sessions) miss the same key at once: both compile and publish the
+  // entry's .so, .c and .meta. Each writer needs its own temporaries.
+  TempDir Dir;
+  ServiceConfig C;
+  C.CacheDir = Dir.Path;
+  KernelService S1(C), S2(C);
+  std::vector<std::pair<std::string, GenOptions>> Keys;
+  for (int Round = 0; Round < 6; ++Round) {
+    GenOptions O = hostOpts("potrf_pub" + std::to_string(Round));
+    std::string Src = la::potrfSource(6);
+    std::atomic<int> Ready{0};
+    GetResult R[2];
+    std::vector<std::thread> Threads;
+    for (int I = 0; I < 2; ++I)
+      Threads.emplace_back([&, I] {
+        Ready.fetch_add(1);
+        while (Ready.load() < 2)
+          std::this_thread::yield();
+        R[I] = (I ? S2 : S1).get(Src, O);
+      });
+    for (auto &T : Threads)
+      T.join();
+    for (const GetResult &G : R)
+      ASSERT_TRUE(G) << "round " << Round << ": " << G.Error;
+    Keys.emplace_back(Src, O);
+  }
+  for (const auto &E : std::filesystem::recursive_directory_iterator(Dir.Path))
+    EXPECT_EQ(E.path().string().find(".tmp"), std::string::npos) << E.path();
+
+  // What the two published is intact: a fresh service disk-hits every
+  // entry through its content-hash check.
+  KernelService Fresh(C);
+  for (const auto &[Src, O] : Keys) {
+    GetResult R = Fresh.get(Src, O);
+    ASSERT_TRUE(R) << R.Error;
+    ASSERT_TRUE(R->isCallable());
+    EXPECT_NE(readFile(shardedPath(Dir.Path, R->Key, ".meta"))
+                  .find("so-hash="),
+              std::string::npos);
+  }
+  EXPECT_EQ(Fresh.stats().DiskHits, static_cast<long>(Keys.size()));
+  EXPECT_EQ(Fresh.stats().Quarantined, 0);
+  EXPECT_EQ(Fresh.stats().Generations, 0);
+  EXPECT_EQ(Fresh.stats().Compilations, 0);
 }
 
 TEST(ServiceCache, FlatPreShardEntriesStillServe) {
@@ -555,13 +608,17 @@ TEST(ServiceTuner, MeasuresAndPersistsWinningChoice) {
 // served options, and the tuner's winner is served as compiled.
 //===----------------------------------------------------------------------===//
 
-/// Installs a SLINGEN_CC wrapper that logs each compiler invocation's
-/// arguments, for the life of the object.
+/// Installs a SLINGEN_CC wrapper that logs the start (with the arguments)
+/// and the end of each compiler invocation, for the life of the object.
+/// Appends of one short line are atomic, so the log orders the events of
+/// concurrent compiles as they happened.
 struct CcLog {
   CcLog() {
     std::string Wrapper = Dir.Path + "/cc_log.sh";
-    std::ofstream(Wrapper) << "printf '%s\\n' \"$*\" >> " << Dir.Path
-                           << "/cc.log\nexec cc \"$@\"\n";
+    std::string Log = Dir.Path + "/cc.log";
+    std::ofstream(Wrapper) << "printf 'start %s %s\\n' $$ \"$*\" >> " << Log
+                           << "\ncc \"$@\"\nrc=$?\nprintf 'end %s\\n' $$ >> "
+                           << Log << "\nexit $rc\n";
     if (const char *Old = getenv("SLINGEN_CC"))
       Saved = Old;
     setenv("SLINGEN_CC", ("sh " + Wrapper).c_str(), 1);
@@ -572,14 +629,38 @@ struct CcLog {
     else
       setenv("SLINGEN_CC", Saved.c_str(), 1);
   }
-  /// Logged kernel compiles (precompiled-header builds are not linked
-  /// with -shared, so they are not counted).
+  /// Logged kernel compiles' arguments, in start order (precompiled-header
+  /// builds are not linked with -shared, so they are not counted).
   std::vector<std::string> compiles() const {
     std::vector<std::string> Out;
+    for (auto &[Args, Running] : events())
+      Out.push_back(Args);
+    return Out;
+  }
+  /// For each logged kernel compile, in start order: how many kernel
+  /// compiles (itself included) were running when it started.
+  std::vector<int> running() const {
+    std::vector<int> Out;
+    for (auto &[Args, Running] : events())
+      Out.push_back(Running);
+    return Out;
+  }
+  /// Each logged kernel compile: its arguments and compiles running.
+  std::vector<std::pair<std::string, int>> events() const {
+    std::vector<std::pair<std::string, int>> Out;
+    std::set<std::string> Live;
     std::istringstream In(readFile(Dir.Path + "/cc.log"));
-    for (std::string Line; std::getline(In, Line);)
-      if (Line.find(" -shared ") != std::string::npos)
-        Out.push_back(Line);
+    for (std::string Line; std::getline(In, Line);) {
+      std::istringstream Words(Line);
+      std::string Event, Pid;
+      Words >> Event >> Pid;
+      if (Event == "end") {
+        Live.erase(Pid);
+      } else if (Line.find(" -shared ") != std::string::npos) {
+        Live.insert(Pid);
+        Out.emplace_back(Line, static_cast<int>(Live.size()));
+      }
+    }
     return Out;
   }
   TempDir Dir;
@@ -703,6 +784,60 @@ TEST(ServiceTuner, MeasuredBatchedMissCompilesEachCandidateOnce) {
   EXPECT_EQ(S.stats().Compilations, 0);
   EXPECT_EQ(R.Timing.CompileUs, 0);
   expectServedAsCompiled(Dir.Path, Src, O, Req, R, Log, 2 * hostIsa().Nu + 3);
+}
+
+TEST(ServiceTuner, MeasuredMissCompilesEachRoundAtOnceThenTimes) {
+  if (!canMeasure() || hostIsa().Nu < 2)
+    GTEST_SKIP() << "needs a compiler, a cycle counter and vector lanes";
+  TempDir Dir;
+  ServiceConfig C;
+  C.Measure = true;
+  C.CacheDir = Dir.Path;
+  C.MeasureRepeats = 3;
+  std::string Src = la::potrfSource(8);
+  GenOptions O = hostOpts("potrf_rounds");
+  const int Variants = measuredVariants(Src, O, C);
+  CcLog Log;
+  KernelService S(C);
+  RequestOptions Req;
+  Req.Batched = true;
+  obs::SpanCollector Spans;
+  GetResult R = [&] {
+    obs::ScopedCollect Collect(Spans);
+    return S.get(Src, O, Req);
+  }();
+  ASSERT_TRUE(R) << R.Error;
+  EXPECT_TRUE(R->Measured);
+
+  // Still TopK' + 3 compiles: the variant round, then the strategy round,
+  // which starts only when every variant compile has ended.
+  std::vector<int> Running = Log.running();
+  ASSERT_EQ(static_cast<int>(Running.size()), Variants + 3);
+  EXPECT_EQ(Running[Variants], 1) << "the rounds overlap";
+  const int MaxRunning = *std::max_element(Running.begin(), Running.end());
+  const int Cpus = runtime::affinityCpus();
+  EXPECT_LE(MaxRunning, Cpus) << "more compiles at once than CPUs";
+  if (Cpus >= 2) {
+    EXPECT_GE(MaxRunning, 2) << "no compiles of one round overlapped";
+  }
+
+  // Every compile span reached the caller's collector, and no timing ran
+  // while a compile did.
+  std::vector<const obs::Span *> Cc, Measure;
+  for (const obs::Span &Sp : Spans.Spans) {
+    if (Sp.Name == "cc")
+      Cc.push_back(&Sp);
+    else if (Sp.Name == "tuner-measure")
+      Measure.push_back(&Sp);
+  }
+  EXPECT_EQ(static_cast<int>(Cc.size()), Variants + 3);
+  EXPECT_GE(static_cast<int>(Measure.size()), Variants + 3);
+  for (const obs::Span *M : Measure)
+    for (const obs::Span *K : Cc)
+      EXPECT_FALSE(M->StartUs < K->StartUs + K->DurUs &&
+                   K->StartUs < M->StartUs + M->DurUs)
+          << "tuner-measure at " << M->StartUs << " overlaps cc at "
+          << K->StartUs;
 }
 
 TEST(ServiceTuner, MeasuredMissServesTheVariantWinnerAsCompiled) {

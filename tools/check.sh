@@ -70,6 +70,19 @@ TMPDIR="$SPACE_TMP/sp ace" "$BUILD/tests/service_test" > "$SPACE_TMP/log" 2>&1 \
   || { cat "$SPACE_TMP/log"; exit 1; }
 rm -rf "$SPACE_TMP"
 
+echo "== tuner on one CPU =="
+# A tuning round compiles its candidates on as many CPUs as the affinity
+# mask grants; with one CPU they compile serially. Keep that path covered.
+if command -v taskset > /dev/null 2>&1; then
+  ONE_CPU_LOG=$(mktemp)
+  taskset -c 0 "$BUILD/tests/service_test" \
+    --gtest_filter='ServiceTuner.*:ServiceFlight.*' > "$ONE_CPU_LOG" 2>&1 \
+    || { cat "$ONE_CPU_LOG"; exit 1; }
+  rm -f "$ONE_CPU_LOG"
+else
+  echo "taskset unavailable; skipping"
+fi
+
 if [ -z "$SANITIZE" ]; then
   echo "== slbench smoke =="
   # The benchmark package builds the library from these sources; its
