@@ -5,13 +5,12 @@
 //===----------------------------------------------------------------------===//
 //
 // Compares the batched codegen strategies (see slingen::BatchStrategy)
-// head to head -- the scalar loop, the packed instance-parallel form
-// ("vec"), and the fused-layout form ("fused", no pack/unpack transposes)
-// -- on potrf across tiny sizes {4, 8, 16} and on the gemm-flavored trsyl
-// {4, 8}, for batch counts {32, 1024} plus the remainder-heavy {33, 1025}
-// (count % Nu == 1 for every supported Nu: the worst-case masked-tail
-// path): the workload shape the paper's Sec. 5 "batched computations"
-// sketch targets. On multicore hosts the loop and fused variants
+// head to head -- the scalar loop ("loop") and the instance-parallel form
+// ("fused") -- on potrf across tiny sizes {4, 8, 16} and on the
+// gemm-flavored trsyl {4, 8}, for batch counts {32, 1024} plus the
+// remainder-heavy {33, 1025} (count % Nu == 1 for every supported Nu: the
+// worst-case masked-tail path): the workload shape the paper's Sec. 5
+// "batched computations" sketch targets. On multicore hosts both variants
 // additionally get threaded rows ("-mt<k>", workers pinned to cores)
 // and unpinned counterparts ("-mt<k>-nopin") dispatched through the
 // runtime batch thread pool, so the affinity win is itself measured. A
@@ -122,32 +121,26 @@ void registerKernel(const char *Label, const std::string &Source, int N) {
     return;
   }
   const std::string IsaFlags = runtime::isaCompileFlags(*O.Isa);
-  bool VecOk = false, FusedOk = false;
-  std::string VecSource = emitBatchedVectorC(*R, &O, &VecOk);
+  bool FusedOk = false;
   std::string FusedSource = emitBatchedVectorFusedC(*R, &O, &FusedOk);
-  if (!VecOk || !FusedOk) {
+  if (!FusedOk) {
     // Timing the fallback would record loop-vs-loop under a vector label
     // and corrupt the cross-PR perf trajectory; skip loudly instead.
     fprintf(stderr,
             "batch_strategies: instance-parallel emission infeasible for "
             "%s n=%d; skipping its variants\n",
             Label, N);
-    if (!VecOk)
-      VecSource.clear();
-    if (!FusedOk)
-      FusedSource.clear();
+    FusedSource.clear();
   }
-  struct Variant {
+  const struct {
     const char *Name;
     std::string Source;
-    bool Threaded; ///< also register pool-dispatched rows
   } Variants[] = {
-      {"loop", emitBatchedC(*R), true},
-      {"vec", std::move(VecSource), false},
-      {"fused", std::move(FusedSource), true},
+      {"loop", emitBatchedC(*R)},
+      {"fused", std::move(FusedSource)},
   };
   const int MT = runtime::defaultBatchThreads();
-  for (const Variant &V : Variants) {
+  for (const auto &V : Variants) {
     if (V.Source.empty())
       continue;
     std::shared_ptr<BatchBench> B = makeBench(*R, V.Source, IsaFlags);
@@ -166,7 +159,7 @@ void registerKernel(const char *Label, const std::string &Source, int N) {
             }
             State.SetItemsProcessed(State.iterations() * Count);
           });
-      if (V.Threaded && MT > 1 && B->Kernel.hasBatchSpan()) {
+      if (MT > 1 && B->Kernel.hasBatchSpan()) {
         const int Nu = hostIsa().Nu;
         // Pinned (default) and unpinned pool rows: the delta is the
         // affinity win for this kernel/count on this host.

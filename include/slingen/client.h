@@ -209,7 +209,7 @@ public:
   const std::string &optionsText() const { return OptionsText; }
   const std::string &functionName() const { return FuncName; }
   bool batched() const { return Batched; }
-  /// "loop"/"vec"/"fused"/"auto"; empty defers to the serving side.
+  /// "loop"/"fused"/"auto"; empty defers to the serving side.
   const std::string &strategy() const { return StrategyName; }
   /// Batched dispatch width: 0 defers to the serving side's policy.
   int threads() const { return Threads; }
@@ -259,7 +259,7 @@ public:
   RequestBuilder &option(std::string Key, std::string Value);
   /// Also request the `<name>_batch(int count, ...)` entry point.
   RequestBuilder &batched(bool On = true);
-  /// Batched iteration strategy: loop | vec | fused | auto. Requires
+  /// Batched iteration strategy: loop | fused | auto. Requires
   /// batched().
   RequestBuilder &strategy(std::string Name);
   /// Batched dispatch width (0 = serving side's policy, k >= 1 pins).
@@ -357,7 +357,7 @@ public:
   const std::string &cSource() const;
   int numParams() const;
   bool batched() const;
-  /// Resolved batch strategy name ("loop"/"vec"/"fused"); empty when not
+  /// Resolved batch strategy name ("loop"/"fused"); empty when not
   /// batched.
   const std::string &strategy() const;
   /// Resolved batched dispatch width (>= 1; meaningful when batched()).

@@ -17,19 +17,18 @@ namespace {
 
 class Widener {
 public:
-  /// \p Fused selects the fused-layout mode: parameter accesses become
-  /// lane-strided (stride = the parameter's instance size) against the
-  /// batch ABI instead of contiguous accesses against packed AoSoA blocks.
-  /// \p Masked additionally makes every parameter access runtime-masked
-  /// (VLoadStridedMasked/VStoreStridedMasked) and marks the function
-  /// HasTailMask: the result is the `count % Lanes` tail kernel, executing
-  /// only the first `active_` lanes' instances. Locals stay full-width
-  /// (dead lanes compute garbage that is never stored).
-  Widener(const Function &F, int Lanes, bool Fused, bool Masked = false)
-      : F(F), Lanes(Lanes), Fused(Fused), Masked(Masked) {
-    if (Fused)
-      for (const Operand *P : F.Params)
-        ParamStride[P] = P->Rows * P->Cols;
+  /// Parameter accesses become lane-strided (stride = the parameter's
+  /// instance size) against the batch ABI; local accesses become contiguous
+  /// accesses against AoSoA blocks. \p Masked additionally makes every
+  /// parameter access runtime-masked (VLoadStridedMasked/
+  /// VStoreStridedMasked) and marks the function HasTailMask: the result is
+  /// the `count % Lanes` tail kernel, executing only the first `active_`
+  /// lanes' instances. Locals stay full-width (dead lanes compute garbage
+  /// that is never stored).
+  Widener(const Function &F, int Lanes, bool Masked)
+      : F(F), Lanes(Lanes), Masked(Masked) {
+    for (const Operand *P : F.Params)
+      ParamStride[P] = P->Rows * P->Cols;
   }
 
   bool run(WidenedFunction &Out, const std::string &Name) {
@@ -63,21 +62,20 @@ public:
 private:
   const Function &F;
   int Lanes;
-  bool Fused;
   bool Masked;
   std::map<const Operand *, const Operand *> LocalMap;
   std::map<const Operand *, int> ParamStride;
 
-  /// AoSoA address: Lanes consecutive doubles per scalar element, so the
-  /// whole affine form scales by Lanes. In fused mode this applies to
-  /// locals only; parameter addresses stay in scalar element units (the
-  /// lane offset is carried by the strided load/store instead).
+  /// AoSoA address of a local: Lanes consecutive doubles per scalar
+  /// element, so the whole affine form scales by Lanes. Parameter addresses
+  /// stay in scalar element units (the lane offset is carried by the
+  /// strided load/store instead).
   Addr widenAddr(const Addr &A) const {
     Addr W = A;
     auto It = LocalMap.find(A.Buf);
     if (It != LocalMap.end())
       W.Buf = It->second;
-    if (Fused && ParamStride.count(A.Buf))
+    if (ParamStride.count(A.Buf))
       return W;
     W.Const *= Lanes;
     for (auto &[Var, Coeff] : W.Terms)
@@ -85,11 +83,9 @@ private:
     return W;
   }
 
-  /// Lane stride of a fused parameter access; 0 selects the contiguous
-  /// (AoSoA) form.
+  /// Lane stride of a parameter access; 0 selects the contiguous (AoSoA)
+  /// form of a local.
   int laneStride(const Addr &A) const {
-    if (!Fused)
-      return 0;
     auto It = ParamStride.find(A.Buf);
     return It == ParamStride.end() ? 0 : It->second;
   }
@@ -164,21 +160,10 @@ private:
 } // namespace
 
 std::optional<WidenedFunction>
-cir::widenAcrossInstances(const Function &F, int Lanes,
-                          const std::string &Name) {
-  WidenedFunction Out;
-  Widener W(F, Lanes, /*Fused=*/false);
-  if (!W.run(Out, Name))
-    return std::nullopt;
-  verifyAssert(Out.Func, "widen-across-instances");
-  return Out;
-}
-
-std::optional<WidenedFunction>
 cir::widenAcrossInstancesFused(const Function &F, int Lanes,
                                const std::string &Name) {
   WidenedFunction Out;
-  Widener W(F, Lanes, /*Fused=*/true);
+  Widener W(F, Lanes, /*Masked=*/false);
   if (!W.run(Out, Name))
     return std::nullopt;
   verifyAssert(Out.Func, "widen-across-instances-fused");
@@ -189,7 +174,7 @@ std::optional<WidenedFunction>
 cir::widenAcrossInstancesFusedMasked(const Function &F, int Lanes,
                                      const std::string &Name) {
   WidenedFunction Out;
-  Widener W(F, Lanes, /*Fused=*/true, /*Masked=*/true);
+  Widener W(F, Lanes, /*Masked=*/true);
   if (!W.run(Out, Name))
     return std::nullopt;
   verifyAssert(Out.Func, "widen-across-instances-fused-masked");

@@ -11,11 +11,13 @@
 /// operation widened to Lanes vector lanes, where lane l of each register
 /// holds problem instance `b*Lanes + l` of the corresponding scalar value.
 ///
-/// The widened function operates on an interleaved AoSoA block layout:
-/// element e of instance-lane l of a parameter lives at offset e*Lanes + l,
-/// so every scalar load/store widens to one full-width contiguous vector
-/// load/store at Lanes times the scalar offset -- no gathers, no masks.
-/// Division and square root go through the full-width VDiv/VSqrt
+/// Parameters keep the batch ABI's contiguous per-instance layout, so every
+/// parameter access becomes a lane-strided gather/scatter straight out of
+/// (and into) the caller's batch buffers. Compiler temporaries never cross
+/// the ABI boundary, so locals use an interleaved AoSoA layout: element e of
+/// instance-lane l lives at offset e*Lanes + l, and every local access is
+/// one full-width contiguous vector load/store at Lanes times the scalar
+/// offset. Division and square root go through the full-width VDiv/VSqrt
 /// instructions, keeping per-instance IEEE semantics.
 ///
 //===----------------------------------------------------------------------===//
@@ -42,24 +44,15 @@ struct WidenedFunction {
 };
 
 /// Widens the scalar function \p F across problem instances: every register
-/// becomes a Lanes-wide vector register, every operation its vector
-/// counterpart, and every affine address is scaled by Lanes (the AoSoA
-/// block layout). Loop structure, register ids, and loop variables are
-/// preserved one-to-one. Returns std::nullopt when \p F is not purely
-/// scalar (Nu != 1 or any V* instruction) or Lanes < 2.
-std::optional<WidenedFunction>
-widenAcrossInstances(const Function &F, int Lanes, const std::string &Name);
-
-/// The *fused-layout* variant: parameters keep the batch ABI's contiguous
-/// per-instance layout, so lane l of a parameter access reads element
+/// becomes a Lanes-wide vector register and every operation its vector
+/// counterpart. Lane l of a parameter access reads element
 /// `affine + l * (Rows*Cols)` relative to the block base pointer -- a
 /// lane-strided VLoadStrided/VStoreStrided whose stride is the parameter's
-/// instance size. No layout transpose is required around the widened
-/// kernel: it gathers instance data straight out of (and scatters results
-/// straight into) the caller's batch buffers. Compiler temporaries never
-/// cross the ABI boundary, so locals stay in the interleaved AoSoA layout
-/// of widenAcrossInstances (contiguous full-width accesses). Same
-/// feasibility conditions as widenAcrossInstances.
+/// instance size -- so no layout transpose is required around the widened
+/// kernel. Local addresses are scaled by Lanes (the AoSoA layout). Loop
+/// structure, register ids, and loop variables are preserved one-to-one.
+/// Returns std::nullopt when \p F is not purely scalar (Nu != 1 or any V*
+/// instruction) or Lanes < 2.
 std::optional<WidenedFunction>
 widenAcrossInstancesFused(const Function &F, int Lanes,
                           const std::string &Name);

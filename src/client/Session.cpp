@@ -208,7 +208,7 @@ Result<Request> RequestBuilder::build() const {
       return Bad("strategy() requires batched()");
     if (!batchStrategyByName(StrategyName))
       return Bad("unknown batch strategy '" + StrategyName +
-                 "' (loop, vec, fused, or auto)");
+                 "' (loop, fused, or auto)");
   }
   if (Threads != 0) {
     if (!Batched)

@@ -42,7 +42,7 @@ struct Request {
   std::string LaSource;    ///< the LA program text
   std::string OptionsText; ///< serializeGenOptions() document (may be empty)
   bool Batched = false;
-  /// Batch-strategy override ("loop"/"vec"/"fused"/"auto"); empty defers
+  /// Batch-strategy override ("loop"/"fused"/"auto"); empty defers
   /// to the daemon's configured strategy.
   std::string StrategyName;
   /// Batched dispatch-width override (the `threads=k` knob): 0 defers to
@@ -104,7 +104,7 @@ struct ArtifactMsg {
   std::string IsaName;
   int NumParams = 0;
   bool Batched = false;
-  std::string StrategyName; ///< "loop"/"vec"/"fused" (batched artifacts only)
+  std::string StrategyName; ///< "loop"/"fused" (batched artifacts only)
   /// Tuned batched dispatch width (>= 1; batched artifacts only): remote
   /// clients loading the shipped .so dispatch with this many threads by
   /// default.

@@ -174,9 +174,16 @@ ArtifactPtr KernelCache::loadFromDisk(const std::string &Key,
   A->NumParams = atoi(KV["params"].c_str());
   A->Batched = KV["batched"] == "1";
   // Absent on pre-strategy entries and non-batched artifacts: ScalarLoop,
-  // the only batched emission those could contain.
-  if (auto S = batchStrategyByName(KV["strategy"]))
-    A->Strategy = *S;
+  // the only batched emission those could contain. A name this build does
+  // not know (one it no longer emits, or garbage) makes the meta corrupt:
+  // serving the source under a guessed label would mislabel it.
+  bool StrategyOk = true;
+  if (auto It = KV.find("strategy"); It != KV.end()) {
+    std::optional<BatchStrategy> S = batchStrategyByName(It->second);
+    StrategyOk = S.has_value();
+    if (S)
+      A->Strategy = *S;
+  }
   // Absent on pre-threading entries: single-threaded dispatch.
   if (int T = atoi(KV["threads"].c_str()); T >= 1)
     A->BatchThreads = T;
@@ -190,7 +197,7 @@ ArtifactPtr KernelCache::loadFromDisk(const std::string &Key,
       if (!Tok.empty())
         A->Choice.push_back(atoi(Tok.c_str()));
   }
-  if (A->FuncName.empty() || A->NumParams <= 0 ||
+  if (!StrategyOk || A->FuncName.empty() || A->NumParams <= 0 ||
       (A->IsaName != "scalar" && A->IsaName != "sse2" &&
        A->IsaName != "avx" && A->IsaName != "avx512")) {
     Err = "corrupt meta for " + Key;

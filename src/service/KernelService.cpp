@@ -46,7 +46,7 @@ namespace {
 
 /// Content key of one request: (normalized program, options) fingerprint
 /// with the batched bit -- and, for batched requests, the configured batch
-/// strategy -- mixed in, as fixed-width hex. Pinned loop/vec requests and
+/// strategy -- mixed in, as fixed-width hex. Pinned loop/fused requests and
 /// Auto requests address distinct entries: an Auto entry's emission is the
 /// per-kernel winner, not a fixed strategy.
 std::string requestKey(const Generator &G, bool Batched,
@@ -400,11 +400,11 @@ ArtifactPtr KernelService::produce(const std::string &Key, const Generator &G,
   }
 
   // Batched requests resolve the configured strategy to a concrete one:
-  // the instance-parallel forms need vector lanes, and Auto picks per
+  // the instance-parallel form needs vector lanes, and Auto picks per
   // kernel -- measured where the environment allows, by the static model
   // otherwise -- along with the dispatch width (threads) when the policy
   // is auto. The artifact records the strategy actually emitted: when the
-  // instance-parallel emissions cannot widen, they degrade to the scalar
+  // instance-parallel emission cannot widen, it degrades to the scalar
   // loop and so does the label. A measuring tuner hands over its winner's
   // object, compiled with the served options: the variant tuner's for
   // plain requests, the strategy chooser's for batched Auto ones.
@@ -418,9 +418,7 @@ ArtifactPtr KernelService::produce(const std::string &Key, const Generator &G,
   if (Batched && !Rejected) {
     const int ThreadsPolicy = Req.Threads.value_or(Cfg.BatchThreads);
     Strat = Req.Strategy.value_or(Cfg.Strategy);
-    if ((Strat == BatchStrategy::InstanceParallel ||
-         Strat == BatchStrategy::InstanceParallelFused) &&
-        O.Isa->Nu < 2)
+    if (Strat == BatchStrategy::InstanceParallelFused && O.Isa->Nu < 2)
       Strat = BatchStrategy::ScalarLoop;
     if (Strat == BatchStrategy::Auto) {
       obs::ScopedSpan Tune("tune-batch", "service", &M.TuneUs);
@@ -446,21 +444,15 @@ ArtifactPtr KernelService::produce(const std::string &Key, const Generator &G,
       if (!UsedVector)
         Strat = BatchStrategy::ScalarLoop;
     }
-    if (Strat == BatchStrategy::InstanceParallel && BatchedSource.empty()) {
-      bool UsedVector = false;
-      BatchedSource = emitBatchedVectorC(Tuned->Result, &O, &UsedVector);
-      if (!UsedVector)
-        Strat = BatchStrategy::ScalarLoop;
-    }
     if (Strat == BatchStrategy::ScalarLoop && !Compiled)
       BatchedSource = emitBatchedC(Tuned->Result);
   }
 
   // The verifier gate: no freshly generated C-IR reaches the JIT without
-  // passing cir::verify -- the single-instance kernel and every widened
-  // batch variant the emission lowers. The tuners verify each candidate
-  // before compiling it; this gate covers what is compiled below and
-  // source-only artifacts. A violation is a generator or pass bug; it is
+  // passing cir::verify -- the single-instance kernel and the widened
+  // batch block and tail the emission lowers. The tuners verify each
+  // candidate before compiling it; this gate covers what is compiled below
+  // and source-only artifacts. A violation is a generator or pass bug; it is
   // refused as a structured error, never shipped as a kernel that could
   // fault inside a dlopen'd object. (The disk-recompile path above
   // re-compiles persisted C source that was generated from verified IR;
@@ -793,7 +785,7 @@ bool service::applyServiceConfigOption(ServiceConfig &C,
     auto S = batchStrategyByName(Value);
     if (!S) {
       Err = "bad value '" + Value + "' for option strategy "
-            "(loop, vec, fused, or auto)";
+            "(loop, fused, or auto)";
       return false;
     }
     C.Strategy = *S;

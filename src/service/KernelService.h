@@ -64,16 +64,16 @@ struct ServiceConfig {
   int MaxVariants = 16;   ///< variant enumeration budget
   int MeasureRepeats = 9; ///< timed runs per candidate (median taken)
   /// Batched-request codegen strategy (see slingen::BatchStrategy). Auto
-  /// resolves per kernel -- measured (both strategies JIT-compiled and
-  /// timed) whenever a compiler, cycle counter, and host-runnable ISA are
-  /// available, by the static cost model otherwise -- and the resolution
-  /// is persisted in the disk tier's .meta, so a warmed shared cache
-  /// serves the tuned variant without re-measuring. InstanceParallel
-  /// degrades to ScalarLoop on scalar targets. Note that Auto measures
-  /// independently of Measure (which governs per-variant tuning): a
-  /// batched cache miss costs two extra JIT compiles plus a short timing
-  /// loop; pin ScalarLoop or InstanceParallel to avoid that on miss-heavy
-  /// workloads.
+  /// resolves per kernel -- measured (the loop and the fused emission
+  /// JIT-compiled and timed) whenever a compiler, cycle counter, and
+  /// host-runnable ISA are available, by the static cost model otherwise --
+  /// and the resolution is persisted in the disk tier's .meta, so a warmed
+  /// shared cache serves the tuned variant without re-measuring.
+  /// InstanceParallelFused degrades to ScalarLoop on scalar targets. Note
+  /// that Auto measures independently of Measure (which governs per-variant
+  /// tuning): a batched cache miss costs two JIT compiles (one of which is
+  /// served) plus a short timing loop; pin ScalarLoop or
+  /// InstanceParallelFused to avoid that on miss-heavy workloads.
   BatchStrategy Strategy = BatchStrategy::Auto;
   /// Batched dispatch width policy. 0 (auto): a batched Auto-strategy miss
   /// also measures single-threaded versus multicore dispatch (see

@@ -137,13 +137,14 @@ struct BatchBuffers {
 
 std::optional<cir::VerifyError>
 service::verifyBeforeCompile(const GenResult &R, const GenOptions &O,
-                             bool Batched, BatchStrategy Strategy) {
+                             bool Batched, BatchStrategy Strategy,
+                             const ScalarRecompile *Pre) {
   if (fault::anyArmed() && fault::shouldFire("corrupt-ir")) {
     cir::Function Broken = R.Func;
     Broken.RegWidth.push_back(1);
     return cir::verifyFirst(Broken);
   }
-  return verifyEmittedIR(R, &O, Batched, Strategy);
+  return verifyEmittedIR(R, &O, Batched, Strategy, Pre);
 }
 
 BatchChoice service::chooseBatchStrategy(const GenResult &R,
@@ -157,12 +158,11 @@ BatchChoice service::chooseBatchStrategy(const GenResult &R,
   if (Nu < 2)
     return C; // no lanes to parallelize across
 
-  // Static cost model: one AoSoA block amortizes the widened kernel (same
+  // Static cost model: one block amortizes the widened kernel (same
   // instruction count as the scalar kernel, vector-width issue) over Nu
-  // instances. The packed form pays two layout transposes per element; the
-  // fused form pays no transposes but its gathers/scatters touch elements
-  // one lane at a time, modeled as a fraction of a cycle per element.
-  // Compare per instance against the scalar-loop estimate.
+  // instances. Its gathers/scatters touch elements one lane at a time,
+  // modeled as a fraction of a cycle per element. Compare per instance
+  // against the scalar-loop estimate.
   long SumElems = 0;
   for (const Operand *P : R.Func.Params)
     SumElems += static_cast<long>(P->Rows) * P->Cols;
@@ -170,23 +170,15 @@ BatchChoice service::chooseBatchStrategy(const GenResult &R,
   if (!Scalar)
     return C; // widening infeasible: the loop is the only strategy
   long LoopPerInst = staticCost(R.Func);
-  long WidePerInst = staticCost(Scalar->Func) / Nu;
-  long VecPerInst = WidePerInst + 2 * SumElems;
-  long FusedPerInst = WidePerInst + SumElems / 2;
-  C.Strategy = BatchStrategy::ScalarLoop;
-  if (FusedPerInst < LoopPerInst || VecPerInst < LoopPerInst)
-    C.Strategy = FusedPerInst <= VecPerInst
-                     ? BatchStrategy::InstanceParallelFused
-                     : BatchStrategy::InstanceParallel;
+  long FusedPerInst = staticCost(Scalar->Func) / Nu + SumElems / 2;
+  C.Strategy = FusedPerInst < LoopPerInst
+                   ? BatchStrategy::InstanceParallelFused
+                   : BatchStrategy::ScalarLoop;
 
-  // The fused emission doubles as the widening-feasibility probe (both
-  // instance-parallel forms share the Widener's constraints): if it falls
-  // back to the scalar loop there is only one strategy to serve. The
-  // ScalarRecompile above is reused so Stage 2/3 runs once, not three
-  // times. The packed emission is deferred until measurement actually
-  // needs it -- the static model never prefers it over fused (same widened
-  // cost, strictly more layout traffic), so unmeasurable paths skip that
-  // emission entirely.
+  // The fused emission doubles as the widening-feasibility probe: if it
+  // falls back to the scalar loop there is only one strategy to serve. The
+  // ScalarRecompile above is reused by the emission and every verify, so
+  // Stage 2/3 runs once.
   bool UsedVector = false;
   std::string FusedSource =
       emitBatchedVectorFusedC(R, &O, &UsedVector, &*Scalar);
@@ -194,13 +186,10 @@ BatchChoice service::chooseBatchStrategy(const GenResult &R,
     C.Strategy = BatchStrategy::ScalarLoop;
     return C;
   }
-  std::string VecSource;
 
   std::string LoopSource;
   auto TakeWinner = [&]() {
-    if (C.Strategy == BatchStrategy::InstanceParallel)
-      C.ChosenSource = std::move(VecSource);
-    else if (C.Strategy == BatchStrategy::InstanceParallelFused)
+    if (C.Strategy == BatchStrategy::InstanceParallelFused)
       C.ChosenSource = std::move(FusedSource);
     else
       C.ChosenSource = std::move(LoopSource); // empty unless measured
@@ -214,8 +203,6 @@ BatchChoice service::chooseBatchStrategy(const GenResult &R,
     return C;
   }
 
-  VecSource = emitBatchedVectorC(R, &O, &UsedVector, &*Scalar);
-
   // Two probe batches: one divisible by every supported Nu (pure
   // full-block path) and one remainder-heavy (count % Nu == Nu/2, the
   // masked-tail path production batches pay on ragged counts). Ranking by
@@ -225,7 +212,7 @@ BatchChoice service::chooseBatchStrategy(const GenResult &R,
   const std::string FuncName = R.Func.Name;
   const int NumParams = static_cast<int>(R.Func.Params.size());
 
-  // One round: verify all three emissions (a rejection refuses the request
+  // One round: verify both emissions (a rejection refuses the request
   // before anything compiles), compile them at once, then time them one by
   // one in this order, so no timing shares the CPUs with a compile.
   LoopSource = emitBatchedC(R);
@@ -236,13 +223,12 @@ BatchChoice service::chooseBatchStrategy(const GenResult &R,
   };
   const Candidate Cands[] = {
       {BatchStrategy::ScalarLoop, &LoopSource, &C.LoopCycles},
-      {BatchStrategy::InstanceParallel, &VecSource, &C.VecCycles},
       {BatchStrategy::InstanceParallelFused, &FusedSource, &C.FusedCycles},
   };
   std::vector<runtime::CompileJob> Jobs;
   for (const Candidate &Cand : Cands) {
     if ((C.Rejected = verifyBeforeCompile(R, O, /*Batched=*/true,
-                                          Cand.Strategy)))
+                                          Cand.Strategy, &*Scalar)))
       return C;
     Jobs.push_back({.CSource = *Cand.Source,
                     .FuncName = FuncName,
@@ -251,7 +237,7 @@ BatchChoice service::chooseBatchStrategy(const GenResult &R,
   }
   runtime::compileAll(Jobs);
   int BestIdx = -1;
-  for (int I = 0; I < 3; ++I) {
+  for (int I = 0; I < static_cast<int>(Jobs.size()); ++I) {
     std::optional<runtime::JitKernel> &K = Jobs[I].Kernel;
     if (!K)
       continue;

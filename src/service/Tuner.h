@@ -63,13 +63,14 @@ struct TuneResult {
 /// The verifier gate every freshly generated emission passes before it is
 /// compiled -- each tuner candidate, each batch-strategy probe, and the
 /// served artifact: verifyEmittedIR over \p R as emitted for \p Batched
-/// and \p Strategy. The `corrupt-ir` fault point breaks a copy of the
-/// function's register file here, so tests drive a rejection through
-/// whichever gate a request reaches first.
-std::optional<cir::VerifyError> verifyBeforeCompile(const GenResult &R,
-                                                    const GenOptions &O,
-                                                    bool Batched,
-                                                    BatchStrategy Strategy);
+/// and \p Strategy, reusing the caller's scalar recompile \p Pre when
+/// given. The `corrupt-ir` fault point breaks a copy of the function's
+/// register file here, so tests drive a rejection through whichever gate a
+/// request reaches first.
+std::optional<cir::VerifyError>
+verifyBeforeCompile(const GenResult &R, const GenOptions &O, bool Batched,
+                    BatchStrategy Strategy,
+                    const ScalarRecompile *Pre = nullptr);
 
 /// Picks the best variant of \p G in one tuning round: the TopK best-ranked
 /// variants are all verified (a rejection returns before any compile
@@ -91,7 +92,6 @@ struct BatchChoice {
   /// Sum of the median cycles over the two probe batches (one Nu-divisible,
   /// one remainder-heavy; when Measured). Lower is better.
   double LoopCycles = 0.0;
-  double VecCycles = 0.0;
   double FusedCycles = 0.0;
   /// True when the thread count was resolved by measurement (an auto
   /// policy on a multicore host with a runnable kernel).
@@ -99,7 +99,7 @@ struct BatchChoice {
   double SingleCycles = 0.0;   ///< winner at the large batch, one thread
   double ThreadedCycles = 0.0; ///< winner at the large batch, Threads wide
   /// The winning translation unit when the chooser already produced the
-  /// emission (every measured choice, and a static vec/fused choice), so
+  /// emission (every measured choice, and a static fused choice), so
   /// the service does not regenerate it. Empty otherwise.
   std::string ChosenSource;
   /// The winner's loaded batched object (when Measured), compiled from
@@ -112,18 +112,18 @@ struct BatchChoice {
 
 /// Resolves BatchStrategy::Auto for the tuned kernel \p R generated under
 /// \p O: when a compiler, a cycle counter, and a host that can execute the
-/// target ISA are all available (and \p AllowCompile), all three batched
-/// emissions -- the scalar loop, the packed instance-parallel form, and
-/// the fused-layout form -- form one tuning round like tuneKernel's: all
-/// are verified first, then JIT-compiled at once with the served options
-/// (see TuneOptions::KeepSoPath), then timed one by one, in that order,
-/// over two deterministic instance batches (one divisible by every
-/// supported Nu, one remainder-heavy to exercise the masked tail); the
-/// lowest summed median wins, the earlier form on ties. Otherwise the static
-/// cost model compares the scalar-loop estimate against the widened
-/// estimates (scalar kernel cost over Nu lanes, plus the AoSoA pack/unpack
-/// traffic for the packed form or the strided-access overhead for the
-/// fused form). Scalar targets always resolve to ScalarLoop.
+/// target ISA are all available (and \p AllowCompile), both batched
+/// emissions -- the scalar loop and the instance-parallel fused form --
+/// form one tuning round like tuneKernel's: both are verified first, then
+/// JIT-compiled at once with the served options (see
+/// TuneOptions::KeepSoPath), then timed one by one, in that order, over two
+/// deterministic instance batches (one divisible by every supported Nu, one
+/// remainder-heavy to exercise the masked tail); the lower summed median
+/// wins, the loop on ties. Otherwise the static cost model compares the
+/// scalar-loop estimate against the widened estimate (scalar kernel cost
+/// over Nu lanes plus the strided-access overhead). Scalar targets always
+/// resolve to ScalarLoop. Stage 2/3 re-runs once, for the scalar recompile
+/// the emission and every verify share.
 ///
 /// \p ThreadsPolicy pins the dispatch width when >= 1; 0 asks the chooser
 /// to resolve it: the winning strategy is re-timed over a larger batch

@@ -22,18 +22,16 @@ namespace slingen {
 
 /// How a `<name>_batch(int count, ...)` entry point iterates its instances.
 enum class BatchStrategy {
-  ScalarLoop,       ///< loop over instances, one single-instance call each
-  InstanceParallel, ///< one vector lane per instance (packed AoSoA blocks)
+  ScalarLoop, ///< loop over instances, one single-instance call each
   /// One vector lane per instance, reading the batch ABI directly: the
   /// widened kernel's loads gather lane-strided instance data and its
-  /// stores scatter results back, so no pack/unpack layout transposes (and
-  /// no scratch blocks) bracket the block kernel.
+  /// stores scatter results back, so no layout transposes (and no scratch
+  /// blocks) bracket the block kernel.
   InstanceParallelFused,
-  Auto,             ///< service picks: measured when possible, else modeled
+  Auto, ///< service picks: measured when possible, else modeled
 };
 
-/// Stable short names ("loop", "vec", "fused", "auto") for flags and .meta
-/// files.
+/// Stable short names ("loop", "fused", "auto") for flags and .meta files.
 const char *batchStrategyName(BatchStrategy S);
 /// Inverse of batchStrategyName; returns std::nullopt on unknown names.
 std::optional<BatchStrategy> batchStrategyByName(const std::string &Name);

@@ -6,16 +6,12 @@
 //
 // The batched codegen strategies behind `<name>_batch(int count, ...)`
 // (paper Sec. 5). ScalarLoop wraps the single-instance kernel in a loop
-// over instances; InstanceParallel widens the kernel's scalar C-IR to one
-// vector lane per instance over AoSoA blocks (see cir/Widen.h), with a
-// layout-transpose pack/unpack pair preserving the contiguous-per-instance
-// batch ABI; InstanceParallelFused widens with lane-strided parameter
-// accesses so the block kernel reads and writes the batch ABI directly --
-// no transposes, no scratch blocks. InstanceParallel falls back to a
-// ScalarLoop remainder for count % Nu; InstanceParallelFused instead runs
-// the remainder through one runtime-masked widened block (`_fusedtail`,
-// see cir/Widen.h) so odd counts never drop out of vector code. Every
-// strategy also emits the
+// over instances; InstanceParallelFused widens the kernel's scalar C-IR to
+// one vector lane per instance (see cir/Widen.h), with lane-strided
+// parameter accesses so the block kernel reads and writes the batch ABI
+// directly -- no transposes, no scratch blocks. The count % Nu remainder
+// runs through one runtime-masked widened block (`_fusedtail`), so odd
+// counts never drop out of vector code. Every strategy also emits the
 // `<name>_batch_span(int start, int count, ...)` sub-range entry the
 // runtime batch thread pool dispatches blocks through.
 //
@@ -26,7 +22,6 @@
 #include "cir/CEmitter.h"
 #include "cir/Passes.h"
 #include "cir/Verify.h"
-#include "cir/Widen.h"
 #include "support/Format.h"
 
 using namespace slingen;
@@ -35,8 +30,6 @@ const char *slingen::batchStrategyName(BatchStrategy S) {
   switch (S) {
   case BatchStrategy::ScalarLoop:
     return "loop";
-  case BatchStrategy::InstanceParallel:
-    return "vec";
   case BatchStrategy::InstanceParallelFused:
     return "fused";
   case BatchStrategy::Auto:
@@ -49,8 +42,6 @@ std::optional<BatchStrategy>
 slingen::batchStrategyByName(const std::string &Name) {
   if (Name == "loop")
     return BatchStrategy::ScalarLoop;
-  if (Name == "vec")
-    return BatchStrategy::InstanceParallel;
   if (Name == "fused")
     return BatchStrategy::InstanceParallelFused;
   if (Name == "auto")
@@ -68,15 +59,12 @@ std::string batchParamDecl(const cir::Function &F, size_t I) {
          F.Params[I]->Name;
 }
 
-long paramSize(const cir::Function &F, size_t I) {
-  return static_cast<long>(F.Params[I]->Rows) * F.Params[I]->Cols;
-}
-
 /// The hoisted per-parameter instance strides `const long s_i = Rows_i*Cols_i;`.
 std::string strideDecls(const cir::Function &F) {
   std::string C;
   for (size_t I = 0; I < F.Params.size(); ++I)
-    C += formatf("  const long s_%zu = %ld;\n", I, paramSize(F, I));
+    C += formatf("  const long s_%zu = %ld;\n", I,
+                 static_cast<long>(F.Params[I]->Rows) * F.Params[I]->Cols);
   return C;
 }
 
@@ -149,13 +137,35 @@ slingen::recompileScalar(const GenResult &R, const GenOptions *Opts) {
   return S;
 }
 
-namespace {
+std::optional<InstanceParallelFuncs>
+slingen::deriveInstanceParallelFuncs(const GenResult &R,
+                                     const ScalarRecompile &Pre) {
+  const int Nu = R.Func.Nu;
+  if (Nu < 2)
+    return std::nullopt; // scalar target: no lanes to parallelize across
+  const std::string &Name = R.Func.Name;
+  std::optional<cir::WidenedFunction> Block =
+      cir::widenAcrossInstancesFused(Pre.Func, Nu, Name + "_fusedblk");
+  std::optional<cir::WidenedFunction> Tail =
+      cir::widenAcrossInstancesFusedMasked(Pre.Func, Nu, Name + "_fusedtail");
+  if (!Block || !Tail)
+    return std::nullopt;
+  // Contract mul+add chains into hardware FMAs on ISAs that have them
+  // (Nu >= 4: AVX/AVX-512). Applied identically to block and tail so tail
+  // lanes stay bit-identical to full-block lanes; never applied inside the
+  // wideners themselves, keeping the hermetic widen-vs-scalar interpreter
+  // tests exact.
+  if (Nu >= 4) {
+    cir::contractFma(Block->Func);
+    cir::contractFma(Tail->Func);
+  }
+  return InstanceParallelFuncs{std::move(*Block), std::move(*Tail)};
+}
 
-/// Shared driver for the two instance-parallel emissions; \p Fused selects
-/// the lane-strided (transpose-free) layout.
-std::string emitInstanceParallel(const GenResult &R, const GenOptions *Opts,
-                                 bool *UsedVector, const ScalarRecompile *Pre,
-                                 bool Fused) {
+std::string slingen::emitBatchedVectorFusedC(const GenResult &R,
+                                             const GenOptions *Opts,
+                                             bool *UsedVector,
+                                             const ScalarRecompile *Pre) {
   if (UsedVector)
     *UsedVector = false;
   const cir::Function &F = R.Func;
@@ -169,189 +179,85 @@ std::string emitInstanceParallel(const GenResult &R, const GenOptions *Opts,
       return emitBatchedC(R);
     Pre = &*Own;
   }
-  std::optional<cir::WidenedFunction> W =
-      Fused ? cir::widenAcrossInstancesFused(Pre->Func, Nu,
-                                             F.Name + "_fusedblk")
-            : cir::widenAcrossInstances(Pre->Func, Nu, F.Name + "_vecblk");
-  if (!W)
-    return emitBatchedC(R);
-  // Fused also gets the runtime-masked tail kernel: one widened block that
-  // executes exactly the first `active_` lanes' instances, replacing the
-  // old per-instance scalar remainder loop for count % Nu.
-  std::optional<cir::WidenedFunction> WTail =
-      Fused ? cir::widenAcrossInstancesFusedMasked(Pre->Func, Nu,
-                                                   F.Name + "_fusedtail")
-            : std::nullopt;
-  if (Fused && !WTail)
+  std::optional<InstanceParallelFuncs> IP =
+      deriveInstanceParallelFuncs(R, *Pre);
+  if (!IP)
     return emitBatchedC(R);
   if (UsedVector)
     *UsedVector = true;
-
-  // Contract mul+add chains into hardware FMAs on ISAs that have them
-  // (Nu >= 4: AVX/AVX-512). Applied identically to every widened variant so
-  // tail lanes stay bit-identical to full-block lanes; never applied inside
-  // the wideners themselves, keeping the hermetic widen-vs-scalar
-  // interpreter tests exact.
-  if (Nu >= 4) {
-    cir::contractFma(W->Func);
-    if (WTail)
-      cir::contractFma(WTail->Func);
-  }
   // Last IR-producing step before C emission: check the variants exactly as
   // they will be lowered.
-  cir::verifyAssert(W->Func, "batched-widen");
-  if (WTail)
-    cir::verifyAssert(WTail->Func, "batched-widen-tail");
+  cir::verifyAssert(IP->Block.Func, "batched-widen");
+  cir::verifyAssert(IP->Tail.Func, "batched-widen-tail");
 
   std::string C;
   C += "#include <math.h>\n";
   C += "#include <immintrin.h>\n\n";
-  // The single-instance kernel: serves plain calls and the remainder loop.
+  // The single-instance kernel, for plain calls.
   C += cir::emitFunctionSplit(F, /*MaxInstsPerPart=*/1 << 14);
   C += "\n";
-  // The instance-parallel block kernel: lane l of every vector register
-  // holds instance b*Nu + l. Packed layout: operands are AoSoA blocks
-  // (element e of lane l at offset e*Nu + l). Fused layout: operands are
-  // the caller's batch buffers at the block base (element e of lane l at
-  // offset l*s_i + e, gathered/scattered by the strided accesses).
-  C += cir::emitFunctionSplit(W->Func, /*MaxInstsPerPart=*/1 << 14);
+  // The instance-parallel block kernel and its masked tail: lane l of every
+  // vector register holds instance b*Nu + l. Operands are the caller's
+  // batch buffers at the block base (element e of lane l at offset
+  // l*s_i + e, gathered/scattered by the strided accesses).
+  C += cir::emitFunctionSplit(IP->Block.Func, /*MaxInstsPerPart=*/1 << 14);
   C += "\n";
-  if (WTail) {
-    C += cir::emitFunctionSplit(WTail->Func, /*MaxInstsPerPart=*/1 << 14);
-    C += "\n";
-  }
+  C += cir::emitFunctionSplit(IP->Tail.Func, /*MaxInstsPerPart=*/1 << 14);
+  C += "\n";
 
-  if (!Fused) {
-    // Layout-transpose helpers between the batch ABI (count contiguous
-    // instances per parameter) and one AoSoA block of Nu instances.
-    C += formatf("static void %s_aosoa_pack(const double *__restrict src, "
-                 "double *__restrict dst, long n) {\n"
-                 "  for (long e = 0; e < n; ++e)\n"
-                 "    for (int l = 0; l < %d; ++l)\n"
-                 "      dst[e * %d + l] = src[l * n + e];\n"
-                 "}\n",
-                 F.Name.c_str(), Nu, Nu);
-    C += formatf("static void %s_aosoa_unpack(const double *__restrict src, "
-                 "double *__restrict dst, long n) {\n"
-                 "  for (long e = 0; e < n; ++e)\n"
-                 "    for (int l = 0; l < %d; ++l)\n"
-                 "      dst[l * n + e] = src[e * %d + l];\n"
-                 "}\n",
-                 F.Name.c_str(), Nu, Nu);
-  }
-
+  // No scratch, no transposes: the block kernel is handed the block base
+  // pointers of the caller's buffers directly. Block bases are kept in
+  // running pointers bumped by the (hoisted, constant) block strides so the
+  // loop body carries no per-iteration multiplies, and the count % Nu
+  // remainder is one masked block call instead of a scalar loop.
   C += batchHeader(F);
-  if (Fused) {
-    // No scratch, no transposes: the block kernel is handed the block base
-    // pointers of the caller's buffers directly. Block bases are kept in
-    // running pointers bumped by the (hoisted, constant) block strides so
-    // the loop body carries no per-iteration multiplies, and the count % Nu
-    // remainder is one masked block call instead of a scalar loop.
-    for (size_t I = 0; I < F.Params.size(); ++I) {
-      bool Writable = F.ParamWritable.empty() || F.ParamWritable[I];
-      C += formatf("  %sdouble *bp_%zu = %s;\n", Writable ? "" : "const ", I,
-                   F.Params[I]->Name.c_str());
-    }
-    C += "  int b = 0;\n";
-    C += formatf("  for (; b + %d <= count; b += %d) {\n", Nu, Nu);
-    C += "    " + W->Func.Name + "(";
-    for (size_t I = 0; I < F.Params.size(); ++I)
-      C += formatf("%sbp_%zu", I ? ", " : "", I);
-    C += ");\n";
-    for (size_t I = 0; I < F.Params.size(); ++I)
-      C += formatf("    bp_%zu += %d * s_%zu;\n", I, Nu, I);
-    C += "  }\n";
-    C += "  if (b < count)\n";
-    C += "    " + WTail->Func.Name + "(";
-    for (size_t I = 0; I < F.Params.size(); ++I)
-      C += formatf("%sbp_%zu", I ? ", " : "", I);
-    C += formatf("%scount - b);\n", F.Params.empty() ? "" : ", ");
-    C += "}\n";
-    C += batchSpan(F);
-    return C;
-  }
-  for (size_t I = 0; I < F.Params.size(); ++I)
-    C += formatf("  double blk_%zu[%ld] __attribute__((aligned(64)));\n", I,
-                 paramSize(F, I) * Nu);
-  C += "  int b = 0;\n";
-  C += formatf("  for (; b + %d <= count; b += %d) {\n", Nu, Nu);
-  // Pack every parameter: inputs obviously; outputs too, so elements the
-  // kernel leaves untouched round-trip unchanged, exactly as in the
-  // scalar-loop strategy. This makes output buffers part of the *read*
-  // set under this strategy (documented in README "Batched execution").
-  for (size_t I = 0; I < F.Params.size(); ++I)
-    C += formatf("    %s_aosoa_pack(%s + b * s_%zu, blk_%zu, s_%zu);\n",
-                 F.Name.c_str(), F.Params[I]->Name.c_str(), I, I, I);
-  C += "    " + W->Func.Name + "(";
-  for (size_t I = 0; I < F.Params.size(); ++I)
-    C += formatf("%sblk_%zu", I ? ", " : "", I);
-  C += ");\n";
   for (size_t I = 0; I < F.Params.size(); ++I) {
     bool Writable = F.ParamWritable.empty() || F.ParamWritable[I];
-    if (Writable)
-      C += formatf("    %s_aosoa_unpack(blk_%zu, %s + b * s_%zu, s_%zu);\n",
-                   F.Name.c_str(), I, F.Params[I]->Name.c_str(), I, I);
+    C += formatf("  %sdouble *bp_%zu = %s;\n", Writable ? "" : "const ", I,
+                 F.Params[I]->Name.c_str());
   }
+  C += "  int b = 0;\n";
+  C += formatf("  for (; b + %d <= count; b += %d) {\n", Nu, Nu);
+  C += "    " + IP->Block.Func.Name + "(";
+  for (size_t I = 0; I < F.Params.size(); ++I)
+    C += formatf("%sbp_%zu", I ? ", " : "", I);
+  C += ");\n";
+  for (size_t I = 0; I < F.Params.size(); ++I)
+    C += formatf("    bp_%zu += %d * s_%zu;\n", I, Nu, I);
   C += "  }\n";
-  C += "  for (; b < count; ++b)\n    " + scalarCall(F, "b") + ";\n}\n";
+  C += "  if (b < count)\n";
+  C += "    " + IP->Tail.Func.Name + "(";
+  for (size_t I = 0; I < F.Params.size(); ++I)
+    C += formatf("%sbp_%zu", I ? ", " : "", I);
+  C += formatf("%scount - b);\n", F.Params.empty() ? "" : ", ");
+  C += "}\n";
   C += batchSpan(F);
   return C;
 }
 
-} // namespace
-
-std::string slingen::emitBatchedVectorC(const GenResult &R,
-                                        const GenOptions *Opts,
-                                        bool *UsedVector,
-                                        const ScalarRecompile *Pre) {
-  return emitInstanceParallel(R, Opts, UsedVector, Pre, /*Fused=*/false);
-}
-
-std::string slingen::emitBatchedVectorFusedC(const GenResult &R,
-                                             const GenOptions *Opts,
-                                             bool *UsedVector,
-                                             const ScalarRecompile *Pre) {
-  return emitInstanceParallel(R, Opts, UsedVector, Pre, /*Fused=*/true);
-}
-
 std::optional<cir::VerifyError>
 slingen::verifyEmittedIR(const GenResult &R, const GenOptions *Opts,
-                         bool Batched, BatchStrategy Strategy) {
+                         bool Batched, BatchStrategy Strategy,
+                         const ScalarRecompile *Pre) {
   if (auto E = cir::verifyFirst(R.Func))
     return E;
-  if (!Batched || (Strategy != BatchStrategy::InstanceParallel &&
-                   Strategy != BatchStrategy::InstanceParallelFused))
-    return std::nullopt;
-  const int Nu = R.Func.Nu;
-  if (Nu < 2)
-    return std::nullopt; // emission degrades to the scalar loop
-  std::optional<ScalarRecompile> Pre = recompileScalar(R, Opts);
-  if (!Pre)
-    return std::nullopt; // ditto
+  if (!Batched || Strategy != BatchStrategy::InstanceParallelFused ||
+      R.Func.Nu < 2)
+    return std::nullopt; // the emission is the scalar loop
+  std::optional<ScalarRecompile> Own;
+  if (!Pre) {
+    Own = recompileScalar(R, Opts);
+    if (!Own)
+      return std::nullopt; // ditto
+    Pre = &*Own;
+  }
   if (auto E = cir::verifyFirst(Pre->Func))
     return E;
-  bool Fused = Strategy == BatchStrategy::InstanceParallelFused;
-  std::optional<cir::WidenedFunction> W =
-      Fused ? cir::widenAcrossInstancesFused(Pre->Func, Nu,
-                                             R.Func.Name + "_fusedblk")
-            : cir::widenAcrossInstances(Pre->Func, Nu,
-                                        R.Func.Name + "_vecblk");
-  if (!W)
-    return std::nullopt;
-  if (Nu >= 4)
-    cir::contractFma(W->Func);
-  if (auto E = cir::verifyFirst(W->Func))
+  std::optional<InstanceParallelFuncs> IP =
+      deriveInstanceParallelFuncs(R, *Pre);
+  if (!IP)
+    return std::nullopt; // ditto
+  if (auto E = cir::verifyFirst(IP->Block.Func))
     return E;
-  if (Fused) {
-    std::optional<cir::WidenedFunction> WTail =
-        cir::widenAcrossInstancesFusedMasked(Pre->Func, Nu,
-                                             R.Func.Name + "_fusedtail");
-    if (!WTail)
-      return std::nullopt;
-    if (Nu >= 4)
-      cir::contractFma(WTail->Func);
-    if (auto E = cir::verifyFirst(WTail->Func))
-      return E;
-  }
-  return std::nullopt;
+  return cir::verifyFirst(IP->Tail.Func);
 }

@@ -27,6 +27,7 @@
 
 #include "cir/CIR.h"
 #include "cir/Verify.h"
+#include "cir/Widen.h"
 #include "expr/Program.h"
 #include "flame/Synthesizer.h"
 #include "isa/ISA.h"
@@ -170,13 +171,30 @@ struct ScalarRecompile {
 std::optional<ScalarRecompile> recompileScalar(const GenResult &R,
                                                const GenOptions *Opts = nullptr);
 
-/// InstanceParallel strategy: the kernel's translation unit plus (a) the
-/// kernel re-emitted with every scalar operation widened to R.Func.Nu lanes
-/// over an interleaved AoSoA block layout (see cir/Widen.h), (b) a
-/// pack/unpack layout-transpose helper pair between the contiguous
-/// per-instance batch ABI and AoSoA blocks, and (c) a `<name>_batch` driver
-/// that processes floor(count/Nu) full blocks vector-parallel and the
-/// `count % Nu` remainder through the scalar-loop path. Falls back to
+/// The widened functions the instance-parallel emission compiles beside
+/// the single-instance kernel.
+struct InstanceParallelFuncs {
+  cir::WidenedFunction Block; ///< `<name>_fusedblk`: Nu instances at once
+  cir::WidenedFunction Tail;  ///< `<name>_fusedtail`: the first `active_`
+};
+
+/// Derives the instance-parallel block and masked tail of \p R from its
+/// scalar recompile \p Pre: widened across R.Func.Nu lanes (see
+/// cir::widenAcrossInstancesFused) and FMA-contracted at Nu >= 4. The one
+/// derivation behind emitBatchedVectorFusedC, verifyEmittedIR and
+/// `slc -verify-ir`. Returns std::nullopt when R.Func.Nu < 2 or widening is
+/// infeasible; the emission then degrades to the scalar loop. The results
+/// reference operands owned by \p Pre.
+std::optional<InstanceParallelFuncs>
+deriveInstanceParallelFuncs(const GenResult &R,
+                            const ScalarRecompile &Pre);
+
+/// InstanceParallelFused strategy: the kernel's translation unit plus the
+/// block and tail of deriveInstanceParallelFuncs, whose parameter accesses
+/// gather/scatter lane-strided instance data straight out of the batch ABI,
+/// and a `<name>_batch` driver that passes block base pointers through,
+/// with no transposes and no scratch blocks: floor(count/Nu) full blocks,
+/// then one masked tail call for the `count % Nu` remainder. Falls back to
 /// emitBatchedC when the target ISA is scalar or widening is infeasible;
 /// \p UsedVector, when non-null, reports whether the instance-parallel
 /// emission actually happened (callers labeling the output with a
@@ -186,18 +204,6 @@ std::optional<ScalarRecompile> recompileScalar(const GenResult &R,
 /// \p Pre, when given, is a ScalarRecompile the caller already computed
 /// for this GenResult (the Stage-2/3 re-lowering dominates emission cost,
 /// so callers that need it for other reasons should pass it in).
-std::string emitBatchedVectorC(const GenResult &R,
-                               const GenOptions *Opts = nullptr,
-                               bool *UsedVector = nullptr,
-                               const ScalarRecompile *Pre = nullptr);
-
-/// InstanceParallelFused strategy: as emitBatchedVectorC, but the widened
-/// kernel reads and writes the batch ABI directly -- parameter accesses
-/// gather/scatter lane-strided instance data (stride = the parameter's
-/// instance size, see cir::widenAcrossInstancesFused), so the driver passes
-/// block base pointers straight through with no pack/unpack transposes and
-/// no scratch blocks. Same fallback and \p UsedVector semantics as
-/// emitBatchedVectorC.
 std::string emitBatchedVectorFusedC(const GenResult &R,
                                     const GenOptions *Opts = nullptr,
                                     bool *UsedVector = nullptr,
@@ -205,18 +211,17 @@ std::string emitBatchedVectorFusedC(const GenResult &R,
 
 /// Statically verifies every cir::Function the emission for \p R compiles:
 /// the single-instance kernel always, plus -- for the instance-parallel
-/// batch strategies -- the widened block variants, re-derived exactly as
-/// the emission derives them (scalar recompile, widening, FMA contraction
-/// at Nu >= 4). Returns the first violation, or std::nullopt when all
-/// functions verify (including when widening is infeasible and the emission
-/// degrades to the scalar loop). The KernelService runs this once before
-/// every JIT compile of freshly generated IR and maps a violation to
+/// batch strategy -- the scalar recompile and the block and tail of
+/// deriveInstanceParallelFuncs. Returns the first violation, or std::nullopt
+/// when all functions verify (including when widening is infeasible and the
+/// emission degrades to the scalar loop). \p Pre is as for
+/// emitBatchedVectorFusedC. The KernelService runs this once before every
+/// JIT compile of freshly generated IR and maps a violation to
 /// Errc::InvalidKernelIR; the cost is a few IR walks, far below the C
 /// compiler invocation it gates.
-std::optional<cir::VerifyError> verifyEmittedIR(const GenResult &R,
-                                                const GenOptions *Opts,
-                                                bool Batched,
-                                                BatchStrategy Strategy);
+std::optional<cir::VerifyError>
+verifyEmittedIR(const GenResult &R, const GenOptions *Opts, bool Batched,
+                BatchStrategy Strategy, const ScalarRecompile *Pre = nullptr);
 
 } // namespace slingen
 

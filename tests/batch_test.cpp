@@ -183,65 +183,12 @@ TEST(Batched, MatchesIndividualRuns) {
         << Params[I]->Name;
 }
 
-// The lane-widening walk is exact: interpreting the widened function over an
-// AoSoA block must reproduce the scalar interpreter's results bit for bit
-// (same IEEE operations in the same order, one instance per lane). This is
-// the hermetic (compiler-free) anchor for the instance-parallel strategy.
-TEST(Widen, InterpreterMatchesScalarPerInstance) {
-  const int N = 6, Nu = 4;
-  auto Gen = mustGenerate(la::potrfSource(N), scalarIsa(), "p6s");
-  ASSERT_TRUE(Gen);
-  GenResult &R = *Gen;
-  auto W = cir::widenAcrossInstances(R.Func, Nu, "p6s_blk");
-  ASSERT_TRUE(W);
-  expectVerifies(W->Func);
-  EXPECT_EQ(W->Func.Nu, Nu);
-  EXPECT_EQ(W->Func.LocalVecWidth, Nu);
-
-  const auto &Params = R.Func.Params;
-  std::vector<AlignedBuffer> Inst = makeInstances(R.Func, Nu, 7000);
-  std::vector<AlignedBuffer> Ref = Inst;
-
-  // Reference: scalar interpretation, one instance at a time.
-  for (int B = 0; B < Nu; ++B) {
-    std::map<const Operand *, double *> Bufs;
-    for (size_t I = 0; I < Params.size(); ++I) {
-      size_t Sz = static_cast<size_t>(Params[I]->Rows) * Params[I]->Cols;
-      Bufs[Params[I]] = Ref[I].data() + B * Sz;
-    }
-    cir::interpret(R.Func, Bufs);
-  }
-
-  // Widened: pack each parameter into one AoSoA block, interpret once,
-  // unpack.
-  std::vector<std::vector<double>> Blk;
-  std::map<const Operand *, double *> Bufs;
-  for (size_t I = 0; I < Params.size(); ++I) {
-    size_t Sz = static_cast<size_t>(Params[I]->Rows) * Params[I]->Cols;
-    auto &B = Blk.emplace_back(Sz * Nu, 0.0);
-    for (size_t E = 0; E < Sz; ++E)
-      for (int L = 0; L < Nu; ++L)
-        B[E * Nu + L] = Inst[I][L * Sz + E];
-  }
-  for (size_t I = 0; I < Params.size(); ++I)
-    Bufs[Params[I]] = Blk[I].data();
-  cir::interpret(W->Func, Bufs);
-  for (size_t I = 0; I < Params.size(); ++I) {
-    size_t Sz = static_cast<size_t>(Params[I]->Rows) * Params[I]->Cols;
-    for (size_t E = 0; E < Sz; ++E)
-      for (int L = 0; L < Nu; ++L)
-        Inst[I][L * Sz + E] = Blk[I][E * Nu + L];
-  }
-
-  for (size_t I = 0; I < Params.size(); ++I)
-    EXPECT_EQ(maxAbsDiff(Inst[I], Ref[I]), 0.0) << Params[I]->Name;
-}
-
-// The fused widening is exact too -- and needs no packing at all: the
+// The lane-widening walk is exact -- and needs no packing at all: the
 // widened function is interpreted straight over the batch ABI's contiguous
-// per-instance arrays, must reproduce the scalar interpreter bit for bit,
-// and must consist of lane-strided parameter accesses (that is the whole
-// point: no transposes anywhere).
+// per-instance arrays (its locals in the AoSoA layout) and must reproduce
+// the scalar interpreter bit for bit (same IEEE operations in the same
+// order, one instance per lane). This is the hermetic (compiler-free)
+// anchor for the instance-parallel strategy.
 TEST(Widen, FusedInterpreterMatchesScalarOnBatchLayout) {
   const int N = 6, Nu = 4;
   auto Gen = mustGenerate(la::potrfSource(N), scalarIsa(), "p6f");
@@ -322,17 +269,16 @@ TEST(Widen, MaskedFusedInterpreterMatchesScalarOnActivePrefix) {
 TEST(Widen, RejectsVectorInput) {
   auto R = mustGenerate(la::potrfSource(8), avxIsa(), "p8v");
   ASSERT_TRUE(R);
-  EXPECT_FALSE(cir::widenAcrossInstances(R->Func, 4, "p8v_blk"));
   EXPECT_FALSE(cir::widenAcrossInstancesFused(R->Func, 4, "p8v_fblk"));
   auto S = mustGenerate(la::potrfSource(8), scalarIsa(), "p8s");
   ASSERT_TRUE(S);
-  EXPECT_FALSE(cir::widenAcrossInstances(S->Func, 1, "p8s_blk"));
+  EXPECT_FALSE(cir::widenAcrossInstancesFused(S->Func, 1, "p8s_blk"));
 }
 
-/// JIT-compiles all three batched strategies for \p Source under \p Isa
-/// and verifies the two instance-parallel forms (packed and fused) agree
-/// with the scalar loop for every count in \p Counts (covering count < Nu,
-/// count % Nu != 0, and multi-block batches).
+/// JIT-compiles both batched strategies for \p Source under \p Isa and
+/// verifies the instance-parallel form agrees with the scalar loop for
+/// every count in \p Counts (covering count < Nu, count % Nu != 0, and
+/// multi-block batches).
 void expectStrategiesAgree(const std::string &Source, const VectorISA &Isa,
                            const std::string &Name,
                            const std::vector<int> &Counts, double Tol) {
@@ -343,14 +289,9 @@ void expectStrategiesAgree(const std::string &Source, const VectorISA &Isa,
   O.Isa = &Isa;
   O.FuncName = Name;
   std::string LoopC = emitBatchedC(R);
-  std::string VecC = emitBatchedVectorC(R, &O);
-  ASSERT_NE(VecC.find(Name + "_vecblk"), std::string::npos)
-      << "instance-parallel emission fell back on " << Isa.Name;
   std::string FusedC = emitBatchedVectorFusedC(R, &O);
   ASSERT_NE(FusedC.find(Name + "_fusedblk"), std::string::npos)
       << "fused emission fell back on " << Isa.Name;
-  EXPECT_EQ(FusedC.find("_aosoa_pack"), std::string::npos)
-      << "fused emission must not transpose";
 
   runtime::CompileOptions CO;
   CO.ExtraFlags = runtime::isaCompileFlags(Isa);
@@ -359,41 +300,30 @@ void expectStrategiesAgree(const std::string &Source, const VectorISA &Isa,
   int NumParams = static_cast<int>(R.Func.Params.size());
   auto KLoop = runtime::JitKernel::compile(LoopC, Name, NumParams, CO, Err);
   ASSERT_TRUE(KLoop) << Err;
-  auto KVec = runtime::JitKernel::compile(VecC, Name, NumParams, CO, Err);
-  ASSERT_TRUE(KVec) << Err;
   auto KFused = runtime::JitKernel::compile(FusedC, Name, NumParams, CO,
                                             Err);
   ASSERT_TRUE(KFused) << Err;
 
-  struct Alt {
-    const char *Label;
-    runtime::JitKernel *Kernel;
-  } Alts[] = {{"vec", &*KVec}, {"fused", &*KFused}};
   for (int Count : Counts) {
     std::vector<AlignedBuffer> LoopStore =
         makeInstances(R.Func, Count, 9000 + Count);
-    std::vector<AlignedBuffer> Init = LoopStore;
-    std::vector<double *> LoopBufs;
+    std::vector<AlignedBuffer> Store = LoopStore;
+    std::vector<double *> LoopBufs, Bufs;
     for (auto &S : LoopStore)
       LoopBufs.push_back(S.data());
+    for (auto &S : Store)
+      Bufs.push_back(S.data());
     KLoop->callBatch(Count, LoopBufs.data());
-    for (const Alt &A : Alts) {
-      std::vector<AlignedBuffer> Store = Init;
-      std::vector<double *> Bufs;
-      for (auto &S : Store)
-        Bufs.push_back(S.data());
-      A.Kernel->callBatch(Count, Bufs.data());
-      double Nonzero = 0.0;
-      for (size_t I = 0; I < LoopStore.size(); ++I) {
-        EXPECT_LT(maxAbsDiff(Store[I], LoopStore[I]), Tol)
-            << Name << "/" << A.Label << " on " << Isa.Name
-            << ", count=" << Count << ", param "
-            << R.Func.Params[I]->Name;
-        for (double V : Store[I])
-          Nonzero += std::fabs(V);
-      }
-      EXPECT_GT(Nonzero, 0.0) << A.Label << " wrote nothing";
+    KFused->callBatch(Count, Bufs.data());
+    double Nonzero = 0.0;
+    for (size_t I = 0; I < LoopStore.size(); ++I) {
+      EXPECT_LT(maxAbsDiff(Store[I], LoopStore[I]), Tol)
+          << Name << "/fused on " << Isa.Name << ", count=" << Count
+          << ", param " << R.Func.Params[I]->Name;
+      for (double V : Store[I])
+        Nonzero += std::fabs(V);
     }
+    EXPECT_GT(Nonzero, 0.0) << "fused wrote nothing";
   }
 }
 
@@ -721,22 +651,20 @@ TEST(ServiceBatchStrategy, PinnedFusedServesTransposeFreeEmission) {
   EXPECT_NE(R->CSource.find("p8_fused_fusedblk"), std::string::npos);
   EXPECT_NE(R->CSource.find("p8_fused_batch_span(int start"),
             std::string::npos);
-  EXPECT_EQ(R->CSource.find("_aosoa_pack"), std::string::npos)
-      << "fused emission must not transpose";
 
-  // Distinct cache entry from the packed strategy.
+  // Distinct cache entry from Auto, even where Auto would pick fused.
   service::ServiceConfig C2 = C;
-  C2.Strategy = BatchStrategy::InstanceParallel;
+  C2.Strategy = BatchStrategy::Auto;
   service::KernelService S2(C2);
   service::GetResult R2 = S2.get(la::potrfSource(8), O, /*Batched=*/true);
   ASSERT_TRUE(R2) << R2.Error;
   EXPECT_NE(R2->Key, R->Key);
 }
 
-TEST(ServiceBatchStrategy, PinnedInstanceParallelFallsBackOnScalarIsa) {
+TEST(ServiceBatchStrategy, PinnedFusedFallsBackOnScalarIsa) {
   service::ServiceConfig C;
   C.UseCompiler = false;
-  C.Strategy = BatchStrategy::InstanceParallel;
+  C.Strategy = BatchStrategy::InstanceParallelFused;
   service::KernelService S(C);
   GenOptions O;
   O.Isa = &scalarIsa();
@@ -745,7 +673,7 @@ TEST(ServiceBatchStrategy, PinnedInstanceParallelFallsBackOnScalarIsa) {
   ASSERT_TRUE(R) << R.Error;
   EXPECT_EQ(R->Strategy, BatchStrategy::ScalarLoop);
   EXPECT_NE(R->CSource.find("p8_scalar_batch(int count"), std::string::npos);
-  EXPECT_EQ(R->CSource.find("_vecblk"), std::string::npos);
+  EXPECT_EQ(R->CSource.find("_fusedblk"), std::string::npos);
 }
 
 TEST(ServiceBatchStrategy, PinnedStrategiesGetDistinctEntries) {
@@ -761,16 +689,15 @@ TEST(ServiceBatchStrategy, PinnedStrategiesGetDistinctEntries) {
   service::GetResult RLoop = SLoop.get(Src, O, /*Batched=*/true);
   ASSERT_TRUE(RLoop) << RLoop.Error;
   EXPECT_EQ(RLoop->Strategy, BatchStrategy::ScalarLoop);
-  EXPECT_EQ(RLoop->CSource.find("_vecblk"), std::string::npos);
+  EXPECT_EQ(RLoop->CSource.find("_fusedblk"), std::string::npos);
 
-  C.Strategy = BatchStrategy::InstanceParallel;
-  service::KernelService SVec(C);
-  service::GetResult RVec = SVec.get(Src, O, /*Batched=*/true);
-  ASSERT_TRUE(RVec) << RVec.Error;
-  EXPECT_EQ(RVec->Strategy, BatchStrategy::InstanceParallel);
-  EXPECT_NE(RVec->CSource.find("p8_pin_vecblk"), std::string::npos);
-  EXPECT_NE(RVec->CSource.find("p8_pin_aosoa_pack"), std::string::npos);
-  EXPECT_NE(RVec->Key, RLoop->Key)
+  C.Strategy = BatchStrategy::InstanceParallelFused;
+  service::KernelService SFused(C);
+  service::GetResult RFused = SFused.get(Src, O, /*Batched=*/true);
+  ASSERT_TRUE(RFused) << RFused.Error;
+  EXPECT_EQ(RFused->Strategy, BatchStrategy::InstanceParallelFused);
+  EXPECT_NE(RFused->CSource.find("p8_pin_fusedblk"), std::string::npos);
+  EXPECT_NE(RFused->Key, RLoop->Key)
       << "pinned strategies must be cached independently";
 }
 

@@ -159,9 +159,17 @@ TEST(ClientBuilder, InvalidRequestsAreRejectedAtBuild) {
                          .build();
   EXPECT_EQ(BadStrategy.code(), sl::Code::InvalidRequest);
 
+  // "vec" named a batch strategy that is no longer emitted.
+  auto Vec = sl::RequestBuilder()
+                 .source("Mat A(4,4) <In>;\n")
+                 .batched()
+                 .strategy("vec")
+                 .build();
+  EXPECT_EQ(Vec.code(), sl::Code::InvalidRequest);
+
   auto StrategyNoBatch = sl::RequestBuilder()
                              .source("Mat A(4,4) <In>;\n")
-                             .strategy("vec")
+                             .strategy("fused")
                              .build();
   EXPECT_EQ(StrategyNoBatch.code(), sl::Code::InvalidRequest);
 
@@ -846,7 +854,7 @@ TEST(ClientTracing, MeasuredMissShipsEveryCompileSpanWithItsTraceId) {
   if (!runtime::haveSystemCompiler() || !runtime::haveCycleCounter() ||
       hostIsa().Nu < 2)
     GTEST_SKIP() << "needs a compiler, a cycle counter and vector lanes";
-  // A measured batched miss compiles TopK' variants, then three strategy
+  // A measured batched miss compiles TopK' variants, then two strategy
   // probes, each round on several threads of the daemon.
   GenOptions O;
   O.Isa = &hostIsa();
@@ -859,7 +867,7 @@ TEST(ClientTracing, MeasuredMissShipsEveryCompileSpanWithItsTraceId) {
   const int Compiles =
       std::min<int>(SC.TuneTopK,
                     static_cast<int>(G.enumerate(SC.MaxVariants).size())) +
-      3;
+      2;
 
   bool WasOn = sl::tracingEnabled();
   sl::clearTrace();

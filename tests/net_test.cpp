@@ -316,13 +316,18 @@ TEST(Protocol, RequestToServiceArgsValidates) {
   EXPECT_FALSE(Req.Strategy.has_value());
   EXPECT_FALSE(Req.Measure.has_value());
 
-  R.StrategyName = "vec";
+  R.StrategyName = "loop";
   R.MeasureOverride = 0;
   R.Threads = 3;
   ASSERT_TRUE(requestToServiceArgs(R, O, Req, Err));
-  EXPECT_EQ(*Req.Strategy, BatchStrategy::InstanceParallel);
+  EXPECT_EQ(*Req.Strategy, BatchStrategy::ScalarLoop);
   EXPECT_EQ(*Req.Measure, false);
   EXPECT_EQ(*Req.Threads, 3);
+
+  // "vec" named a batch strategy that is no longer emitted.
+  R.StrategyName = "vec";
+  EXPECT_FALSE(requestToServiceArgs(R, O, Req, Err));
+  EXPECT_NE(Err.find("unknown batch strategy"), std::string::npos) << Err;
 
   R.StrategyName = "fused";
   ASSERT_TRUE(requestToServiceArgs(R, O, Req, Err));
@@ -389,6 +394,8 @@ TEST(Protocol, ServiceConfigSerializationRoundTrips) {
                                                  Err));
   EXPECT_FALSE(service::applyServiceConfigOption(D, "strategy", "bogus",
                                                  Err));
+  EXPECT_FALSE(service::applyServiceConfigOption(D, "strategy", "vec", Err));
+  EXPECT_NE(Err.find("(loop, fused, or auto)"), std::string::npos) << Err;
   EXPECT_FALSE(service::applyServiceConfigOption(D, "batch-threads", "-1",
                                                  Err));
   EXPECT_FALSE(service::applyServiceConfigOption(D, "cache-max-bytes", "x",

@@ -778,9 +778,9 @@ TEST(ServiceTuner, MeasuredBatchedMissCompilesEachCandidateOnce) {
   GetResult R = S.get(Src, O, Req);
   ASSERT_TRUE(R) << R.Error;
   EXPECT_TRUE(R->Measured);
-  // The measured variants, then the loop/vec/fused probes; the winning
-  // probe is what is served, so nothing is compiled a second time.
-  EXPECT_EQ(static_cast<int>(Log.compiles().size()), Variants + 3);
+  // The measured variants, then the loop/fused probes; the winning probe
+  // is what is served, so nothing is compiled a second time.
+  EXPECT_EQ(static_cast<int>(Log.compiles().size()), Variants + 2);
   EXPECT_EQ(S.stats().Compilations, 0);
   EXPECT_EQ(R.Timing.CompileUs, 0);
   expectServedAsCompiled(Dir.Path, Src, O, Req, R, Log, 2 * hostIsa().Nu + 3);
@@ -809,10 +809,10 @@ TEST(ServiceTuner, MeasuredMissCompilesEachRoundAtOnceThenTimes) {
   ASSERT_TRUE(R) << R.Error;
   EXPECT_TRUE(R->Measured);
 
-  // Still TopK' + 3 compiles: the variant round, then the strategy round,
-  // which starts only when every variant compile has ended.
+  // TopK' + 2 compiles: the variant round, then the strategy round, which
+  // starts only when every variant compile has ended.
   std::vector<int> Running = Log.running();
-  ASSERT_EQ(static_cast<int>(Running.size()), Variants + 3);
+  ASSERT_EQ(static_cast<int>(Running.size()), Variants + 2);
   EXPECT_EQ(Running[Variants], 1) << "the rounds overlap";
   const int MaxRunning = *std::max_element(Running.begin(), Running.end());
   const int Cpus = runtime::affinityCpus();
@@ -830,8 +830,8 @@ TEST(ServiceTuner, MeasuredMissCompilesEachRoundAtOnceThenTimes) {
     else if (Sp.Name == "tuner-measure")
       Measure.push_back(&Sp);
   }
-  EXPECT_EQ(static_cast<int>(Cc.size()), Variants + 3);
-  EXPECT_GE(static_cast<int>(Measure.size()), Variants + 3);
+  EXPECT_EQ(static_cast<int>(Cc.size()), Variants + 2);
+  EXPECT_GE(static_cast<int>(Measure.size()), Variants + 2);
   for (const obs::Span *M : Measure)
     for (const obs::Span *K : Cc)
       EXPECT_FALSE(M->StartUs < K->StartUs + K->DurUs &&
@@ -985,6 +985,65 @@ TEST(ServiceBatch, DispatchMatchesIndividualCalls) {
   ASSERT_TRUE(Again) << Again.Error;
   EXPECT_EQ(S.stats().Generations, Gens);
   EXPECT_LT(maxAbsDiff(XBatch, XRef), 1e-12);
+}
+
+TEST(ServiceBatch, UnknownMetaStrategyIsRegenerated) {
+  TempDir Dir;
+  const int N = 8, Count = 2 * hostIsa().Nu + 1; // full blocks and a tail
+  std::string Src = la::potrfSource(N);
+  GenOptions O = hostOpts("potrf_meta");
+  RequestOptions Req;
+  Req.Batched = true;
+  ServiceConfig C;
+  C.CacheDir = Dir.Path;
+  std::string Key;
+  {
+    KernelService S1(C);
+    GetResult R = S1.get(Src, O, Req);
+    ASSERT_TRUE(R) << R.Error;
+    Key = R->Key;
+  }
+  // A shared cache holding an entry labeled with a strategy this build
+  // does not emit (a "vec" Auto entry from an older build).
+  const std::string Meta = shardedPath(Dir.Path, Key, ".meta");
+  std::string Text = readFile(Meta);
+  size_t At = Text.find("strategy=");
+  ASSERT_NE(At, std::string::npos) << Text;
+  Text.replace(At, Text.find('\n', At) - At, "strategy=vec");
+  std::ofstream(Meta, std::ios::trunc) << Text;
+
+  KernelService S2(C);
+  GetResult R2 = S2.get(Src, O, Req);
+  ASSERT_TRUE(R2) << R2.Error;
+  EXPECT_EQ(R2->Key, Key);
+  EXPECT_EQ(S2.stats().DiskHits, 0) << "the mislabeled entry was served";
+  EXPECT_EQ(S2.stats().Generations, 1);
+  EXPECT_NE(R2->Strategy, BatchStrategy::Auto);
+  EXPECT_NE(readFile(Meta).find(std::string("strategy=") +
+                                batchStrategyName(R2->Strategy) + "\n"),
+            std::string::npos)
+      << readFile(Meta);
+
+  if (!runtime::haveSystemCompiler())
+    return;
+  GetResult Single = S2.get(Src, O);
+  ASSERT_TRUE(Single) << Single.Error;
+  ASSERT_TRUE(Single->isCallable());
+  ASSERT_TRUE(R2->isCallable());
+  const size_t Sz = static_cast<size_t>(N) * N;
+  AlignedBuffer A(Count * Sz), X(Count * Sz);
+  std::vector<double> XRef(Count * Sz, 0.0);
+  for (int B = 0; B < Count; ++B) {
+    Rng Rand(900 + B);
+    std::vector<double> Spd = spd(N, Rand);
+    std::copy(Spd.begin(), Spd.end(), A.begin() + B * Sz);
+    double *Bufs[2] = {A.data() + B * Sz, XRef.data() + B * Sz};
+    Single->call(Bufs);
+  }
+  std::fill(X.begin(), X.end(), 0.0);
+  double *Bufs[2] = {A.data(), X.data()};
+  R2->callBatch(Count, Bufs);
+  EXPECT_LT(maxAbsDiff(X, XRef), 1e-12);
 }
 
 TEST(ServiceKey, FingerprintIsStableAndContentSensitive) {

@@ -8,8 +8,8 @@
 // and asserts the verifier rejects it with the *expected* kind -- so every
 // check in cir/Verify.cpp is pinned by a test that would fail if it were
 // deleted. The oracle half asserts the verifier runs clean over the real
-// generation pipeline (scalar result, scalar recompile, every widened batch
-// variant, post-FMA-contraction) and that verifyEmittedIR -- the service
+// generation pipeline (scalar result, scalar recompile, the widened batch
+// block and tail, post-FMA-contraction) and that verifyEmittedIR -- the service
 // gate -- accepts the same emissions it compiles and rejects corrupted IR.
 //===----------------------------------------------------------------------===//
 
@@ -157,7 +157,6 @@ struct Emissions {
   GenOptions O;
   GenResult R;
   ScalarRecompile Pre;      ///< the scalar recompile the wideners consume
-  WidenedFunction VecBlk;   ///< widenAcrossInstances (AoSoA block)
   WidenedFunction FusedBlk; ///< widenAcrossInstancesFused (lane-strided)
   WidenedFunction FusedTail; ///< ...FusedMasked (runtime tail)
 };
@@ -184,31 +183,20 @@ std::optional<Emissions> emitAll(const std::string &Source,
     return std::nullopt;
   }
   E.R = std::move(*R);
-  const int Nu = E.R.Func.Nu;
   auto Pre = recompileScalar(E.R, &E.O);
   if (!Pre) {
     ADD_FAILURE() << "scalar recompile failed for " << Name;
     return std::nullopt;
   }
   E.Pre = std::move(*Pre);
-  auto W = widenAcrossInstances(E.Pre.Func, Nu, Name + "_vecblk");
-  auto WF = widenAcrossInstancesFused(E.Pre.Func, Nu, Name + "_fusedblk");
-  auto WT =
-      widenAcrossInstancesFusedMasked(E.Pre.Func, Nu, Name + "_fusedtail");
-  if (!W || !WF || !WT) {
+  // Exactly what emission compiles (see deriveInstanceParallelFuncs).
+  auto IP = deriveInstanceParallelFuncs(E.R, E.Pre);
+  if (!IP) {
     ADD_FAILURE() << "widening failed for " << Name;
     return std::nullopt;
   }
-  // Mirror emission: FMA contraction on FMA-capable widths, applied to
-  // every variant (see slingen/Batched.cpp).
-  if (Nu >= 4) {
-    contractFma(W->Func);
-    contractFma(WF->Func);
-    contractFma(WT->Func);
-  }
-  E.VecBlk = std::move(*W);
-  E.FusedBlk = std::move(*WF);
-  E.FusedTail = std::move(*WT);
+  E.FusedBlk = std::move(IP->Block);
+  E.FusedTail = std::move(IP->Tail);
   return E;
 }
 
@@ -229,7 +217,6 @@ TEST(VerifyOracle, PipelineEmissionsVerify) {
     ASSERT_TRUE(E);
     EXPECT_TRUE(verifiesClean(E->R.Func));
     EXPECT_TRUE(verifiesClean(E->Pre.Func));
-    EXPECT_TRUE(verifiesClean(E->VecBlk.Func));
     EXPECT_TRUE(verifiesClean(E->FusedBlk.Func));
     EXPECT_TRUE(verifiesClean(E->FusedTail.Func));
     EXPECT_TRUE(E->FusedTail.Func.HasTailMask);
@@ -240,8 +227,7 @@ TEST(VerifyOracle, VerifyEmittedIRAcceptsEveryStrategy) {
   auto E = potrfEmissions();
   ASSERT_TRUE(E);
   for (BatchStrategy S :
-       {BatchStrategy::ScalarLoop, BatchStrategy::InstanceParallel,
-        BatchStrategy::InstanceParallelFused}) {
+       {BatchStrategy::ScalarLoop, BatchStrategy::InstanceParallelFused}) {
     auto VE = verifyEmittedIR(E->R, &E->O, /*Batched=*/true, S);
     EXPECT_FALSE(VE) << "strategy " << batchStrategyName(S) << ": "
                      << (VE ? VE->str() : "");
@@ -559,16 +545,17 @@ TEST(VerifyMutation, FusedBlockStrideEscapesBlock) {
   EXPECT_TRUE(rejectsWith(E->FusedBlk.Func, VerifyKind::OutOfBounds));
 }
 
-TEST(VerifyMutation, VecBlockMisalignedLocal) {
-  auto E = emitAll(la::trsylSource(4), "vt");
+TEST(VerifyMutation, FusedBlockMisalignedLocal) {
+  auto E = potrfEmissions();
   ASSERT_TRUE(E);
-  // trsyl carries compiler temporaries; knock one contiguous local access
-  // off the Nu-element grid the widener guarantees.
+  // potrf8 carries compiler temporaries, which keep the AoSoA layout; knock
+  // one contiguous local access off the Nu-element grid the widener
+  // guarantees.
   bool Mutated = false;
-  for (Inst *I : insts(E->VecBlk.Func)) {
+  for (Inst *I : insts(E->FusedBlk.Func)) {
     if (!(I->K == Op::VLoad || I->K == Op::VStore) || !I->Address.Buf)
       continue;
-    for (const Operand *L : E->VecBlk.Func.Locals)
+    for (const Operand *L : E->FusedBlk.Func.Locals)
       if (I->Address.Buf == L) {
         I->Address.Const += 1;
         Mutated = true;
@@ -577,9 +564,8 @@ TEST(VerifyMutation, VecBlockMisalignedLocal) {
     if (Mutated)
       break;
   }
-  if (!Mutated)
-    GTEST_SKIP() << "emission has no contiguous local access to mutate";
-  EXPECT_TRUE(rejectsWith(E->VecBlk.Func, VerifyKind::Misaligned));
+  ASSERT_TRUE(Mutated) << "emission has no contiguous local access to mutate";
+  EXPECT_TRUE(rejectsWith(E->FusedBlk.Func, VerifyKind::Misaligned));
 }
 
 //===----------------------------------------------------------------------===//

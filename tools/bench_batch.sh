@@ -1,7 +1,7 @@
 #!/bin/sh
 # tools/bench_batch.sh - record the batch-strategy perf comparison.
 #
-# Runs bench/batch_strategies (loop vs vec vs fused on potrf {4,8,16} and
+# Runs bench/batch_strategies (loop vs fused on potrf {4,8,16} and
 # trsyl {4,8}, counts {32,1024} plus the remainder-heavy {33,1025} that
 # exercise the masked fused tail, plus threaded "-mt<k>" /
 # "-mt<k>-nopin" pinned-vs-unpinned rows on multicore hosts) and writes

@@ -112,22 +112,30 @@ for LA in "$ROOT"/examples/*.la; do
   "$BUILD/slc" -batch -cache-dir "$SMOKE_CACHE" "$LA" | cmp -s - "$SMOKE_OUT"
   # Every pinned batch strategy emits the shared batch ABI plus the
   # _batch_span sub-range entry threaded dispatch needs.
-  "$BUILD/slc" -batch -batch-strategy vec "$LA" > "$SMOKE_OUT"
+  "$BUILD/slc" -batch -batch-strategy loop "$LA" > "$SMOKE_OUT"
   grep -q "_batch(int count" "$SMOKE_OUT"
   grep -q "_batch_span(int start" "$SMOKE_OUT"
   "$BUILD/slc" -batch -batch-strategy fused "$LA" > "$SMOKE_OUT"
   grep -q "_batch(int count" "$SMOKE_OUT"
+  grep -q "_batch_span(int start" "$SMOKE_OUT"
   grep -q "_fusedblk" "$SMOKE_OUT"
   # The count % nu remainder must run through the runtime-masked fused
-  # tail block, never a scalar fallback loop.
+  # tail block, never a scalar fallback loop. (A `!`-negated command is
+  # exempt from set -e, so negative checks spell out their exit.)
   grep -q "_fusedtail" "$SMOKE_OUT"
   grep -q "int active_" "$SMOKE_OUT"
-  ! grep -q "for (; b < count; ++b)" "$SMOKE_OUT"
-  "$BUILD/slc" -batch -batch-strategy loop "$LA" > "$SMOKE_OUT"
-  grep -q "_batch(int count" "$SMOKE_OUT"
+  if grep -q "for (; b < count; ++b)" "$SMOKE_OUT"; then
+    echo "fused emission has a scalar remainder loop" >&2
+    exit 1
+  fi
+  # Unknown strategy names are refused, not mapped to a default.
+  if "$BUILD/slc" -batch -batch-strategy vec "$LA" > /dev/null 2>&1; then
+    echo "slc accepted -batch-strategy vec" >&2
+    exit 1
+  fi
   # The C-IR static verifier must accept every emission -- the scalar
-  # function and all three widened batch variants (exit is non-zero on
-  # any rejection; the per-emission report lands on stderr).
+  # function, its scalar recompile and the widened block and tail (exit is
+  # non-zero on any rejection; the per-emission report lands on stderr).
   "$BUILD/slc" -verify-ir -batch -isa avx "$LA" > /dev/null
 done
 

@@ -23,7 +23,7 @@
 //                      compiler is available)
 //     -cache-dir <dir> persist/reuse kernels in a disk cache
 //     -batch           also emit the <name>_batch(int count, ...) entry
-//     -batch-strategy  loop | vec | fused | auto (default auto): how the
+//     -batch-strategy  loop | fused | auto (default auto): how the
 //                      batch entry iterates instances
 //     -batch-threads k batched dispatch width recorded on the artifact
 //                      (0 = auto: the service measures; k >= 1 pins)
@@ -68,9 +68,7 @@
 
 #include "slingen/client.h"
 
-#include "cir/Passes.h"
 #include "cir/Verify.h"
-#include "cir/Widen.h"
 #include "la/Lower.h"
 #include "service/Tuner.h"
 #include "slingen/OptionsIO.h"
@@ -102,7 +100,7 @@ void usage(const char *Argv0) {
           "                    compiler; falls back to the static model)\n"
           "  -cache-dir <dir>  persist/reuse compiled kernels across runs\n"
           "  -batch            also emit <name>_batch(int count, ...)\n"
-          "  -batch-strategy <s>  loop | vec | fused | auto (default auto)\n"
+          "  -batch-strategy <s>  loop | fused | auto (default auto)\n"
           "  -batch-threads <k>  dispatch width (0 = auto, k >= 1 pins)\n"
           "  -set k=v          set any GenOptions key\n"
           "  -service k=v      set any ServiceConfig key\n"
@@ -249,7 +247,7 @@ int main(int argc, char **argv) {
       StrategyName = Next();
       if (!batchStrategyByName(StrategyName)) {
         fprintf(stderr,
-                "error: -batch-strategy takes loop, vec, fused, or auto\n");
+                "error: -batch-strategy takes loop, fused, or auto\n");
         return 1;
       }
     } else if (Arg == "-batch-threads") {
@@ -675,33 +673,23 @@ int main(int argc, char **argv) {
 
   if (VerifyIr) {
     // The report covers the single-instance kernel and -- with -batch on a
-    // vector ISA -- every widened batch variant the emitters can produce,
-    // replaying the recompile/widen/contract pipeline exactly as emission
-    // does (see slingen::verifyEmittedIR). All strategies are reported, not
-    // just the one the chooser would pick: the report is an audit surface.
+    // vector ISA -- the scalar recompile and the widened block and tail,
+    // derived exactly as emission derives them (see
+    // slingen::deriveInstanceParallelFuncs). They are reported whichever
+    // strategy the chooser would pick: the report is an audit surface.
     bool Clean = true;
     auto Report = [&](const cir::Function &F) {
       fputs(cir::verifyReportText(F).c_str(), stderr);
       Clean &= cir::verify(F).empty();
     };
     Report(Result->Func);
-    const int Nu = Result->Func.Nu;
-    if (Batch && Nu >= 2) {
+    if (Batch && Result->Func.Nu >= 2) {
       if (auto Pre = recompileScalar(*Result, &Options)) {
         Report(Pre->Func);
-        auto Widened = [&](std::optional<cir::WidenedFunction> W) {
-          if (!W)
-            return;
-          if (Nu >= 4)
-            cir::contractFma(W->Func);
-          Report(W->Func);
-        };
-        const std::string &N = Result->Func.Name;
-        Widened(cir::widenAcrossInstances(Pre->Func, Nu, N + "_vecblk"));
-        Widened(cir::widenAcrossInstancesFused(Pre->Func, Nu,
-                                               N + "_fusedblk"));
-        Widened(cir::widenAcrossInstancesFusedMasked(Pre->Func, Nu,
-                                                     N + "_fusedtail"));
+        if (auto IP = deriveInstanceParallelFuncs(*Result, *Pre)) {
+          Report(IP->Block.Func);
+          Report(IP->Tail.Func);
+        }
       }
     }
     if (!Clean)
@@ -715,16 +703,14 @@ int main(int argc, char **argv) {
   } else {
     // Without a service there is nothing to measure against, so Auto
     // resolves by the static cost model alone; the chooser already
-    // produced the winning emission when vec won. (Mirrors the
+    // produced the winning emission when fused won. (Mirrors the
     // resolution ladder in the service.)
     BatchStrategy S = StrategyName.empty()
                           ? BatchStrategy::Auto
                           : *batchStrategyByName(StrategyName);
-    if ((S == BatchStrategy::InstanceParallel ||
-         S == BatchStrategy::InstanceParallelFused) &&
-        Options.Isa->Nu < 2) {
-      fprintf(stderr, "warning: -batch-strategy vec/fused needs a vector "
-                      "ISA; emitting the scalar loop\n");
+    if (S == BatchStrategy::InstanceParallelFused && Options.Isa->Nu < 2) {
+      fprintf(stderr, "warning: -batch-strategy fused needs a vector ISA; "
+                      "emitting the scalar loop\n");
       S = BatchStrategy::ScalarLoop;
     }
     std::string Emitted;
@@ -736,8 +722,6 @@ int main(int argc, char **argv) {
     }
     if (S == BatchStrategy::InstanceParallelFused && Emitted.empty())
       Emitted = emitBatchedVectorFusedC(*Result, &Options);
-    else if (S == BatchStrategy::InstanceParallel && Emitted.empty())
-      Emitted = emitBatchedVectorC(*Result, &Options);
     else if (Emitted.empty())
       Emitted = emitBatchedC(*Result);
     C += Emitted;
