@@ -159,7 +159,7 @@ void registerKernel(const char *Label, const std::string &Source, int N) {
             }
             State.SetItemsProcessed(State.iterations() * Count);
           });
-      if (MT > 1 && B->Kernel.hasBatchSpan()) {
+      if (MT > 1) {
         const int Nu = hostIsa().Nu;
         // Pinned (default) and unpinned pool rows: the delta is the
         // affinity win for this kernel/count on this host.

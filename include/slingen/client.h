@@ -211,7 +211,8 @@ public:
   bool batched() const { return Batched; }
   /// "loop"/"fused"/"auto"; empty defers to the serving side.
   const std::string &strategy() const { return StrategyName; }
-  /// Batched dispatch width: 0 defers to the serving side's policy.
+  /// Batched dispatch width: 0 defers to the serving side's policy (1
+  /// thread unless the service pins a width).
   int threads() const { return Threads; }
   /// Measured-tuning override: -1 defers, 0/1 force.
   int measure() const { return Measure; }
@@ -262,8 +263,8 @@ public:
   /// Batched iteration strategy: loop | fused | auto. Requires
   /// batched().
   RequestBuilder &strategy(std::string Name);
-  /// Batched dispatch width (0 = serving side's policy, k >= 1 pins).
-  /// Requires batched().
+  /// Batched dispatch width (0 = serving side's policy, which resolves an
+  /// auto policy to 1 thread; k >= 1 pins). Requires batched().
   RequestBuilder &threads(int K);
   /// Rank variants by measured cycles instead of the static cost model
   /// (produce-time policy; an already-cached kernel is served as-is).
@@ -315,7 +316,7 @@ struct TimingBreakdown {
   long WaitUs = 0;    ///< time spent joined onto another request's work
   long DiskUs = 0;    ///< disk-tier probe/load (excluding any recompile)
   long GenUs = 0;     ///< generation: parse, variants, tuning, emission
-  long TuneUs = 0;    ///< measured batch-strategy tuning (inside GenUs)
+  long TuneUs = 0;    ///< batch-strategy resolution and batched emission
   long CompileUs = 0; ///< C compilation (JIT) time
   long TotalUs = 0;   ///< serving side's end-to-end time
   /// Wall time of the whole get() as seen by this client -- the only
@@ -391,8 +392,7 @@ public:
 
   /// Batched dispatch over \p Count contiguous instances per parameter
   /// (instance b of parameter i at Buffers[i] + b*Rows_i*Cols_i), spread
-  /// across batchThreads() workers when the kernel was tuned for more
-  /// than one. Additionally fails with InvalidRequest when the kernel was
+  /// across batchThreads() workers when that width is more than one. Additionally fails with InvalidRequest when the kernel was
   /// not requested batched.
   Status callBatch(int Count, double *const *Buffers) const;
 

@@ -119,9 +119,8 @@ Status Kernel::callBatch(int Count, double *const *Buffers) const {
     return Status::failure(Code::InvalidRequest,
                            "kernel " + S->FuncName +
                                " was not requested batched");
-  // Same dispatch ladder as the service: the artifact's tuned width drives
-  // the batch thread pool, which degrades to a plain batch call when the
-  // width is 1 or the object predates the span entry.
+  // Same dispatch ladder as the service: the artifact's width drives the
+  // batch thread pool, which degrades to a plain batch call at width 1.
   runtime::callBatchParallel(*S->K, Count, Buffers, Isa->Nu,
                              S->BatchThreads);
   return Status::success();

@@ -114,39 +114,18 @@ public:
         W.DeadlineMs > 0
             ? obs::nowUs() + static_cast<int64_t>(W.DeadlineMs) * 1000
             : 0;
-    // Whether the wire request still carries the deadline field; the
-    // old-daemon downgrade below strips it while the client-side bound
-    // (Client::setDeadlineUs) stays in force.
-    bool SendDeadline = W.DeadlineMs > 0;
     auto Attempt = [&](net::Client &C, net::ClientError &E) {
       if (DeadlineUs > 0) {
         C.setDeadlineUs(DeadlineUs);
-        if (SendDeadline) {
-          // Each attempt ships the time *remaining*, so a retry after
-          // backoff asks the daemon for less, not the original budget.
-          int64_t RemainMs = (DeadlineUs - obs::nowUs() + 999) / 1000;
-          W.DeadlineMs = static_cast<uint32_t>(std::max<int64_t>(1, RemainMs));
-        }
+        // Each attempt ships the time *remaining*, so a retry after
+        // backoff asks the daemon for less, not the original budget.
+        int64_t RemainMs = (DeadlineUs - obs::nowUs() + 999) / 1000;
+        W.DeadlineMs = static_cast<uint32_t>(std::max<int64_t>(1, RemainMs));
       }
       return C.get(W, Msg, E);
     };
     long Start = obs::nowUs();
     Status St = withConnection(Attempt, DeadlineUs);
-    if (!St && (W.WantTiming || SendDeadline || W.TraceId != 0) &&
-        St.code() == Code::InvalidRequest) {
-      // A daemon that predates the trailing want-timing/deadline/trace
-      // fields rejects the whole request as malformed. Those fields are
-      // optional, the kernel is not: ask again in the old format -- no
-      // daemon-side shedding, no breakdown, no cross-process trace, but
-      // the kernel gets served and the client-side deadline still bounds
-      // the wait.
-      W.WantTiming = false;
-      W.DeadlineMs = 0;
-      W.TraceId = 0;
-      W.SpanId = 0;
-      SendDeadline = false;
-      St = withConnection(Attempt, DeadlineUs);
-    }
     if (!St)
       return St;
     return KernelFactory::fromMessage(std::move(Msg), obs::nowUs() - Start);
@@ -155,8 +134,7 @@ public:
   Status warm(const Request &R) override {
     // WARM returns a bare OK -- there is no artifact to hang a breakdown
     // on, and the caller is not waiting for the generation -- so never
-    // forward the want-timing or deadline fields (which a pre-PR-6 daemon
-    // would reject as malformed).
+    // forward the want-timing or deadline fields.
     net::Request W = toWireRequest(R);
     W.WantTiming = false;
     W.DeadlineMs = 0;

@@ -218,7 +218,7 @@ void runtime::callBatchParallel(const JitKernel &K, int Count,
                                 int Threads) {
   const int Block = std::max(BlockInstances, 1);
   const long Blocks = Count / Block;
-  if (Threads <= 1 || !K.hasBatchSpan() || Blocks < 2) {
+  if (Threads <= 1 || Blocks < 2) {
     K.callBatch(Count, Buffers);
     return;
   }

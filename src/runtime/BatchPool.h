@@ -133,9 +133,8 @@ int defaultBatchThreads();
 /// threads: full blocks of \p BlockInstances (the kernel's vector width)
 /// are distributed across the pool through the kernel's `_batch_span`
 /// entry, and the instance remainder runs on the calling thread. Degrades
-/// to a plain callBatch when Threads <= 1, the kernel has no span entry
-/// (pre-span cached objects), or the batch is too small to amortize a
-/// wakeup.
+/// to a plain callBatch when Threads <= 1 or the batch is too small to
+/// amortize a wakeup.
 void callBatchParallel(const JitKernel &K, int Count, double *const *Buffers,
                        int BlockInstances, int Threads);
 

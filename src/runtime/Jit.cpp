@@ -241,13 +241,11 @@ private:
 
 /// Appends the uniform trampolines to \p Out: `<func>_entry(double **)` for
 /// single-instance calls and, when requested, `<func>_batch_entry(int,
-/// double **)` forwarding to the batched kernel plus -- when the source
-/// defines the `_batch_span` sub-range entry -- `<func>_batch_span_entry`
-/// for threaded dispatch. The span trampoline is gated on \p WithSpan so
-/// cached sources persisted before span emission existed still compile and
-/// dlopen (RTLD_NOW would otherwise fail on the undefined symbol).
+/// double **)` forwarding to the batched kernel plus
+/// `<func>_batch_span_entry` forwarding to its `_batch_span` sub-range entry,
+/// which every batched emission defines.
 void appendTrampolines(std::ostream &Out, const std::string &FuncName,
-                       int NumParams, bool WithBatchEntry, bool WithSpan) {
+                       int NumParams, bool WithBatchEntry) {
   Out << "\nvoid " << FuncName << "_entry(double *const *bufs) {\n  "
       << FuncName << "(";
   for (int I = 0; I < NumParams; ++I)
@@ -261,8 +259,6 @@ void appendTrampolines(std::ostream &Out, const std::string &FuncName,
   for (int I = 0; I < NumParams; ++I)
     Out << ", bufs[" << I << "]";
   Out << ");\n}\n";
-  if (!WithSpan)
-    return;
   Out << "void " << FuncName
       << "_batch_span_entry(int start, int count, double *const *bufs) {\n  "
       << FuncName << "_batch_span(start, count";
@@ -344,11 +340,7 @@ std::optional<JitKernel> JitKernel::compile(const std::string &CSource,
       return std::nullopt;
     }
     Out << CSource;
-    bool WithSpan =
-        Opts.WithBatchEntry &&
-        CSource.find(FuncName + "_batch_span(") != std::string::npos;
-    appendTrampolines(Out, FuncName, NumParams, Opts.WithBatchEntry,
-                      WithSpan);
+    appendTrampolines(Out, FuncName, NumParams, Opts.WithBatchEntry);
   }
 
   // Process-local objects target the host (-march=native first, so per-ISA
@@ -485,10 +477,13 @@ std::optional<JitKernel> JitKernel::load(const std::string &SoPath,
             SoPath;
       return std::nullopt;
     }
-    // Optional: objects compiled before the span entry existed simply
-    // cannot be dispatched threaded (callers check hasBatchSpan()).
     K.BatchSpanEntry = reinterpret_cast<BatchSpanEntryFn>(
         dlsym(K.Handle, (FuncName + "_batch_span_entry").c_str()));
+    if (!K.BatchSpanEntry) {
+      Err = "batch span entry symbol " + FuncName +
+            "_batch_span_entry not found in " + SoPath;
+      return std::nullopt;
+    }
   }
   K.NumParams = NumParams;
   return K;

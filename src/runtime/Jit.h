@@ -53,8 +53,10 @@ struct CompileOptions {
   /// disk after the kernel unloads (the caller owns the file). When empty a
   /// unique temporary is used and removed on destruction.
   std::string KeepSoPath;
-  /// Also emit and bind the `<func>_batch_entry(int, double *const *)`
-  /// trampoline; requires the source to define `<func>_batch(int, ...)`.
+  /// Also emit and bind the `<func>_batch_entry(int, double *const *)` and
+  /// `<func>_batch_span_entry(int, int, double *const *)` trampolines;
+  /// requires the source to define `<func>_batch(int, ...)` and
+  /// `<func>_batch_span(int, int, ...)`.
   bool WithBatchEntry = false;
   /// With KeepSoPath: the object is compiled there with the persistent
   /// flags but removed when the kernel unloads, unless publish() moved it
@@ -91,7 +93,8 @@ public:
 
   /// Loads a previously compiled shared object (see CompileOptions::
   /// KeepSoPath). The file stays on disk when the kernel unloads. Set
-  /// \p WithBatchEntry if the object was compiled with a batched trampoline.
+  /// \p WithBatchEntry if the object was compiled with the batched
+  /// trampolines; the load then fails unless both batch entries resolve.
   static std::optional<JitKernel> load(const std::string &SoPath,
                                        const std::string &FuncName,
                                        int NumParams, std::string &Err,
@@ -133,11 +136,6 @@ public:
     assertBatchAlignment(Buffers);
     BatchEntry(Count, Buffers);
   }
-
-  /// True when the `_batch_span` sub-range entry was compiled in (absent
-  /// on shared objects persisted before span emission existed); required
-  /// for threaded dispatch (see runtime/BatchPool.h).
-  bool hasBatchSpan() const { return BatchSpanEntry != nullptr; }
 
   /// Invokes `<func>_batch_span(Start, Count, ...)`: instances
   /// [Start, Start+Count) of the batch, with Buffers still naming the full

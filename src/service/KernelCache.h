@@ -71,14 +71,14 @@ struct KernelArtifact {
   bool Batched = false;          ///< has the `<func>_batch` entry point
   /// How the `<func>_batch` entry iterates instances (meaningful only when
   /// Batched). Never Auto on a published artifact: the service resolves
-  /// Auto to the winning concrete strategy before publication, and the
-  /// resolution round-trips through the disk tier's .meta so a warmed
-  /// cache serves the tuned variant without re-measuring.
+  /// Auto to a concrete strategy before publication (see
+  /// resolveBatchEmission), and the resolution round-trips through the
+  /// disk tier's .meta.
   BatchStrategy Strategy = BatchStrategy::ScalarLoop;
   /// Resolved batched dispatch width (>= 1, meaningful only when Batched):
   /// how many threads dispatchBatch spreads AoSoA blocks across by
-  /// default. Chosen by chooseBatchStrategy (measured on multicore hosts,
-  /// 1 otherwise), persisted as `threads=` in the disk tier's .meta, and
+  /// default: the pinned policy, or 1 under the auto policy. Persisted as
+  /// `threads=` in the disk tier's .meta, and
   /// overridable per request/config at dispatch time -- it is dispatch
   /// metadata, not part of the emitted C or the cache key.
   int BatchThreads = 1;

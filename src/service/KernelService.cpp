@@ -399,66 +399,40 @@ ArtifactPtr KernelService::produce(const std::string &Key, const Generator &G,
     return nullptr;
   }
 
-  // Batched requests resolve the configured strategy to a concrete one:
-  // the instance-parallel form needs vector lanes, and Auto picks per
-  // kernel -- measured where the environment allows, by the static model
-  // otherwise -- along with the dispatch width (threads) when the policy
-  // is auto. The artifact records the strategy actually emitted: when the
-  // instance-parallel emission cannot widen, it degrades to the scalar
-  // loop and so does the label. A measuring tuner hands over its winner's
-  // object, compiled with the served options: the variant tuner's for
-  // plain requests, the strategy chooser's for batched Auto ones.
+  // The verifier gate: no freshly generated C-IR reaches the JIT without
+  // passing cir::verify. The tuner verifies each candidate before compiling
+  // it, and resolveBatchEmission verifies a batched request's emission (the
+  // kernel and the widened block and tail); this covers the rest. A
+  // violation is a generator or pass bug, refused as a structured error,
+  // never shipped as a kernel that could fault inside a dlopen'd object.
+  // (The disk-recompile path above re-compiles persisted C source generated
+  // from verified IR; there is no IR left to check there.)
+  //
+  // A batched request resolves its strategy and emits that TU; the artifact
+  // records the strategy actually emitted. The tuner's winner is a
+  // single-instance object, so only a plain request serves it as compiled.
   BatchStrategy Strat = BatchStrategy::ScalarLoop;
   int BatchThreads = 1;
-  std::string BatchedSource;
+  std::string CSource;
   std::optional<cir::VerifyError> Rejected = Tuned->Rejected;
-  std::shared_ptr<runtime::JitKernel> Compiled = std::move(Tuned->Kernel);
-  if (Batched)
-    Compiled.reset(); // a single-instance object cannot serve a batch
+  std::shared_ptr<runtime::JitKernel> Compiled;
   if (Batched && !Rejected) {
-    const int ThreadsPolicy = Req.Threads.value_or(Cfg.BatchThreads);
-    Strat = Req.Strategy.value_or(Cfg.Strategy);
-    if (Strat == BatchStrategy::InstanceParallelFused && O.Isa->Nu < 2)
-      Strat = BatchStrategy::ScalarLoop;
-    if (Strat == BatchStrategy::Auto) {
-      obs::ScopedSpan Tune("tune-batch", "service", &M.TuneUs);
-      BatchChoice BC = chooseBatchStrategy(Tuned->Result, O, TO, Compile,
-                                           ThreadsPolicy);
-      TM.TuneUs = Tune.finish();
-      if (BC.Measured)
-        ++TunerRuns;
-      Strat = BC.Strategy;
-      BatchThreads = BC.Threads;
-      BatchedSource = std::move(BC.ChosenSource); // winning TU, when emitted
-      Compiled = std::move(BC.Kernel);
-      Rejected = BC.Rejected;
-    } else {
-      // Pinned strategies keep the pinned (or single-threaded) width; only
-      // Auto measures threading.
-      BatchThreads = ThreadsPolicy >= 1 ? ThreadsPolicy : 1;
-    }
-    if (Strat == BatchStrategy::InstanceParallelFused &&
-        BatchedSource.empty()) {
-      bool UsedVector = false;
-      BatchedSource = emitBatchedVectorFusedC(Tuned->Result, &O, &UsedVector);
-      if (!UsedVector)
-        Strat = BatchStrategy::ScalarLoop;
-    }
-    if (Strat == BatchStrategy::ScalarLoop && !Compiled)
-      BatchedSource = emitBatchedC(Tuned->Result);
+    // An auto thread policy (0) dispatches on one thread; k >= 1 pins.
+    BatchThreads = std::max(Req.Threads.value_or(Cfg.BatchThreads), 1);
+    obs::ScopedSpan Tune("tune-batch", "service", &M.TuneUs);
+    BatchChoice BC = resolveBatchEmission(Tuned->Result, O,
+                                          Req.Strategy.value_or(Cfg.Strategy));
+    TM.TuneUs = Tune.finish();
+    Strat = BC.Strategy;
+    CSource = std::move(BC.Source);
+    Rejected = std::move(BC.Rejected);
+  } else if (!Rejected) {
+    Compiled = std::move(Tuned->Kernel);
+    if (!Compiled)
+      Rejected = verifyBeforeCompile(Tuned->Result, O, /*Batched=*/false,
+                                     BatchStrategy::ScalarLoop);
+    CSource = emitC(Tuned->Result);
   }
-
-  // The verifier gate: no freshly generated C-IR reaches the JIT without
-  // passing cir::verify -- the single-instance kernel and the widened
-  // batch block and tail the emission lowers. The tuners verify each
-  // candidate before compiling it; this gate covers what is compiled below
-  // and source-only artifacts. A violation is a generator or pass bug; it is
-  // refused as a structured error, never shipped as a kernel that could
-  // fault inside a dlopen'd object. (The disk-recompile path above
-  // re-compiles persisted C source that was generated from verified IR;
-  // there is no IR left to check there.)
-  if (!Rejected)
-    Rejected = verifyBeforeCompile(Tuned->Result, O, Batched, Strat);
   if (const std::optional<cir::VerifyError> &VE = Rejected) {
     M.VerifyRejected.add();
     obs::EventLog::global().log(
@@ -484,24 +458,13 @@ ArtifactPtr KernelService::produce(const std::string &Key, const Generator &G,
   A->StaticCost = Tuned->Result.Cost;
   A->Measured = Tuned->Measured;
   A->MeasuredCycles = Tuned->MedianCycles;
-  A->CSource = Batched ? std::move(BatchedSource) : emitC(Tuned->Result);
+  A->CSource = std::move(CSource);
 
-  if (Compiled) {
-    // The tuner's winner: publish its provisional object as the entry's
-    // (a rename beside it) instead of compiling the same source again.
-    std::string PublishErr;
-    if (Cache.hasDiskTier() &&
-        !Compiled->publish(Cache.soPathFor(Key), PublishErr)) {
-      Err = PublishErr;
-      Code = Errc::Internal;
-      return nullptr;
-    }
-    A->Kernel = std::move(Compiled);
-  } else if (Compile) {
-    runtime::CompileOptions CO;
-    CO.ExtraFlags = IsaFlags;
+  if (!Compiled && Compile) {
+    // Compiled like a tuner candidate, as a provisional object beside the
+    // entry, so every compile of a miss is published the same way.
+    runtime::CompileOptions CO = provisionalCompileOptions(TO);
     CO.WithBatchEntry = Batched;
-    CO.KeepSoPath = TO.KeepSoPath;
     std::string CompileErr;
     ++Compilations;
     obs::ScopedSpan Cc("compile", "service");
@@ -513,7 +476,19 @@ ArtifactPtr KernelService::produce(const std::string &Key, const Generator &G,
       Code = Errc::CompileFailed;
       return nullptr;
     }
-    A->Kernel = std::make_shared<runtime::JitKernel>(std::move(*K));
+    Compiled = std::make_shared<runtime::JitKernel>(std::move(*K));
+  }
+  if (Compiled) {
+    // Publish the provisional object as the entry's (a rename beside it),
+    // never compiling the same source twice.
+    std::string PublishErr;
+    if (Cache.hasDiskTier() &&
+        !Compiled->publish(Cache.soPathFor(Key), PublishErr)) {
+      Err = PublishErr;
+      Code = Errc::Internal;
+      return nullptr;
+    }
+    A->Kernel = std::move(Compiled);
   }
 
   if (Cache.hasDiskTier()) {
@@ -559,7 +534,7 @@ GetResult KernelService::dispatchBatch(const std::string &LaSource,
             Errc::InvalidRequest};
   }
   // Dispatch width: per-request pin, else service pin, else the artifact's
-  // tuned winner (1 when tuning found threading unprofitable).
+  // recorded width.
   int Threads = Req.Threads.value_or(Cfg.BatchThreads);
   if (Threads <= 0)
     Threads = R->BatchThreads;
@@ -792,10 +767,10 @@ bool service::applyServiceConfigOption(ServiceConfig &C,
     return true;
   }
   if (Key == "batch-threads") {
-    // 0 = auto (measure and use the per-kernel winner); k >= 1 pins the
-    // dispatch width. The 1024 ceiling matches the wire protocol's
-    // validation bound -- a wider value would persist fine locally and
-    // then make the entry undecodable for remote clients.
+    // 0 = auto (one thread); k >= 1 pins the dispatch width. The 1024
+    // ceiling matches the wire protocol's validation bound -- a wider
+    // value would persist fine locally and then make the entry
+    // undecodable for remote clients.
     long L;
     if (!parseLong(Value, L) || L < 0 || L > 1024)
       return BadValue();

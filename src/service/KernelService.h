@@ -64,23 +64,15 @@ struct ServiceConfig {
   int MaxVariants = 16;   ///< variant enumeration budget
   int MeasureRepeats = 9; ///< timed runs per candidate (median taken)
   /// Batched-request codegen strategy (see slingen::BatchStrategy). Auto
-  /// resolves per kernel -- measured (the loop and the fused emission
-  /// JIT-compiled and timed) whenever a compiler, cycle counter, and
-  /// host-runnable ISA are available, by the static cost model otherwise --
-  /// and the resolution is persisted in the disk tier's .meta, so a warmed
-  /// shared cache serves the tuned variant without re-measuring.
-  /// InstanceParallelFused degrades to ScalarLoop on scalar targets. Note
-  /// that Auto measures independently of Measure (which governs per-variant
-  /// tuning): a batched cache miss costs two JIT compiles (one of which is
-  /// served) plus a short timing loop; pin ScalarLoop or
-  /// InstanceParallelFused to avoid that on miss-heavy workloads.
+  /// resolves per kernel by the static cost model, with nothing compiled or
+  /// timed (see resolveBatchEmission), and the resolution is persisted in
+  /// the disk tier's .meta. InstanceParallelFused degrades to ScalarLoop on
+  /// scalar targets and when widening fails.
   BatchStrategy Strategy = BatchStrategy::Auto;
-  /// Batched dispatch width policy. 0 (auto): a batched Auto-strategy miss
-  /// also measures single-threaded versus multicore dispatch (see
-  /// chooseBatchStrategy) and every dispatchBatch uses the artifact's
-  /// persisted winner. >= 1: pinned -- produce records it, dispatch uses
-  /// it. Threading is dispatch metadata: it never changes the emitted C or
-  /// the cache key.
+  /// Batched dispatch width policy. 0 (auto): a batched miss records width
+  /// 1, and every dispatchBatch uses the artifact's persisted width. >= 1:
+  /// pinned -- produce records it, dispatch uses it. Threading is dispatch
+  /// metadata: it never changes the emitted C or the cache key.
   int BatchThreads = 0;
   /// Size budget for the disk tier in bytes; 0 disables GC. After every
   /// store the tier is scanned and whole entries (.c/.so/.meta groups) are
@@ -197,7 +189,7 @@ struct RequestTiming {
   long WaitUs = 0;    ///< single-flight wait for the leader's result
   long DiskUs = 0;    ///< disk-tier probe + load (+ recompile if stale .so)
   long GenUs = 0;     ///< generator pipeline incl. measured variant tuning
-  long TuneUs = 0;    ///< batch-strategy resolution (Auto measurement)
+  long TuneUs = 0;    ///< batch-strategy resolution and batched emission
   long CompileUs = 0; ///< serving-path compiles (see Compilations)
   long TotalUs = 0;   ///< whole get(), end to end
 };
@@ -295,7 +287,7 @@ public:
   /// parameter (instance b of parameter i at Buffers[i] + b*Rows_i*Cols_i).
   /// Blocks are spread across the batch thread pool when the effective
   /// dispatch width -- Req.Threads, else Config.BatchThreads, else the
-  /// artifact's tuned BatchThreads -- exceeds 1 (the instance remainder
+  /// artifact's recorded BatchThreads -- exceeds 1 (the instance remainder
   /// runs on the calling thread; see runtime/BatchPool.h). Fails when no
   /// compiler is available or the kernel's ISA cannot run on this host.
   GetResult dispatchBatch(const std::string &LaSource,

@@ -9,7 +9,6 @@
 #include "expr/Operand.h"
 #include "isa/ISA.h"
 #include "obs/Trace.h"
-#include "runtime/BatchPool.h"
 #include "runtime/Jit.h"
 #include "support/AlignedBuffer.h"
 #include "support/FaultInject.h"
@@ -81,16 +80,13 @@ void fillBuffers(const GenResult &R, std::vector<AlignedBuffer> &Store,
     Bufs.push_back(S.data());
 }
 
-/// Options for compiling one candidate exactly as the served artifact will
-/// be compiled (see TuneOptions::KeepSoPath): a provisional object beside
-/// the served path, named per process and candidate so concurrent tuners
-/// sharing a cache directory never collide.
-runtime::CompileOptions candidateOptions(const TuneOptions &T,
-                                         bool WithBatchEntry) {
+} // namespace
+
+runtime::CompileOptions
+service::provisionalCompileOptions(const TuneOptions &T) {
   static std::atomic<int> Seq{0};
   runtime::CompileOptions CO;
   CO.ExtraFlags = T.ExtraFlags;
-  CO.WithBatchEntry = WithBatchEntry;
   if (!T.KeepSoPath.empty()) {
     CO.KeepSoPath = T.KeepSoPath + formatf(".cand%d_%d", getpid(),
                                            Seq.fetch_add(1));
@@ -98,42 +94,6 @@ runtime::CompileOptions candidateOptions(const TuneOptions &T,
   }
   return CO;
 }
-
-} // namespace
-
-namespace {
-
-/// Deterministic per-parameter instance arrays for a Count-instance batch
-/// (see fillInstance), 64-byte aligned like production batch buffers.
-/// Fresh keeps an untouched copy so in-place kernels can be re-run on
-/// unfactored data.
-struct BatchBuffers {
-  std::vector<AlignedBuffer> Store, Fresh;
-  std::vector<double *> Bufs;
-
-  BatchBuffers(const GenResult &R, int Count) {
-    uint64_t Seed = 0x5eedULL;
-    for (const Operand *P : R.Func.Params) {
-      Rng Rand(Seed += 0x9e3779b97f4a7c15ULL);
-      size_t Sz = static_cast<size_t>(P->Rows) * P->Cols;
-      auto &Buf = Store.emplace_back(Sz * Count);
-      for (int Inst = 0; Inst < Count; ++Inst)
-        fillInstance(P, Rand, Buf.data() + Inst * Sz);
-    }
-    for (auto &S : Store) {
-      Fresh.emplace_back(S);
-      Bufs.push_back(S.data());
-    }
-  }
-
-  void refill() {
-    for (size_t I = 0; I < Store.size(); ++I)
-      std::copy(Fresh[I].data(), Fresh[I].data() + Fresh[I].size(),
-                Store[I].data());
-  }
-};
-
-} // namespace
 
 std::optional<cir::VerifyError>
 service::verifyBeforeCompile(const GenResult &R, const GenOptions &O,
@@ -147,163 +107,42 @@ service::verifyBeforeCompile(const GenResult &R, const GenOptions &O,
   return verifyEmittedIR(R, &O, Batched, Strategy, Pre);
 }
 
+BatchChoice service::resolveBatchEmission(const GenResult &R,
+                                          const GenOptions &O,
+                                          BatchStrategy Requested) {
+  const int Nu = O.Isa->Nu;
+  std::optional<ScalarRecompile> Scalar;
+  if (Requested != BatchStrategy::ScalarLoop && Nu >= 2)
+    Scalar = recompileScalar(R, &O);
+  bool Fused = Scalar && Requested == BatchStrategy::InstanceParallelFused;
+  if (Scalar && Requested == BatchStrategy::Auto) {
+    // Static cost model: one block amortizes the widened kernel (same
+    // instruction count as the scalar kernel, vector-width issue) over Nu
+    // instances. Its gathers/scatters touch elements one lane at a time,
+    // modeled as a fraction of a cycle per element. Compare per instance
+    // against the scalar-loop estimate.
+    long SumElems = 0;
+    for (const Operand *P : R.Func.Params)
+      SumElems += static_cast<long>(P->Rows) * P->Cols;
+    Fused = staticCost(Scalar->Func) / Nu + SumElems / 2 < staticCost(R.Func);
+  }
+
+  BatchChoice C;
+  // A widening that fails emits the scalar loop, and the label follows.
+  bool UsedVector = false;
+  C.Source = Fused ? emitBatchedVectorFusedC(R, &O, &UsedVector, &*Scalar)
+                   : emitBatchedC(R);
+  C.Strategy = UsedVector ? BatchStrategy::InstanceParallelFused
+                          : BatchStrategy::ScalarLoop;
+  C.Rejected = verifyBeforeCompile(R, O, /*Batched=*/true, C.Strategy,
+                                   Scalar ? &*Scalar : nullptr);
+  return C;
+}
+
 BatchChoice service::chooseBatchStrategy(const GenResult &R,
                                          const GenOptions &O,
-                                         const TuneOptions &T,
-                                         bool AllowCompile,
-                                         int ThreadsPolicy) {
-  BatchChoice C;
-  C.Threads = ThreadsPolicy >= 1 ? ThreadsPolicy : 1;
-  const int Nu = O.Isa->Nu;
-  if (Nu < 2)
-    return C; // no lanes to parallelize across
-
-  // Static cost model: one block amortizes the widened kernel (same
-  // instruction count as the scalar kernel, vector-width issue) over Nu
-  // instances. Its gathers/scatters touch elements one lane at a time,
-  // modeled as a fraction of a cycle per element. Compare per instance
-  // against the scalar-loop estimate.
-  long SumElems = 0;
-  for (const Operand *P : R.Func.Params)
-    SumElems += static_cast<long>(P->Rows) * P->Cols;
-  std::optional<ScalarRecompile> Scalar = recompileScalar(R, &O);
-  if (!Scalar)
-    return C; // widening infeasible: the loop is the only strategy
-  long LoopPerInst = staticCost(R.Func);
-  long FusedPerInst = staticCost(Scalar->Func) / Nu + SumElems / 2;
-  C.Strategy = FusedPerInst < LoopPerInst
-                   ? BatchStrategy::InstanceParallelFused
-                   : BatchStrategy::ScalarLoop;
-
-  // The fused emission doubles as the widening-feasibility probe: if it
-  // falls back to the scalar loop there is only one strategy to serve. The
-  // ScalarRecompile above is reused by the emission and every verify, so
-  // Stage 2/3 runs once.
-  bool UsedVector = false;
-  std::string FusedSource =
-      emitBatchedVectorFusedC(R, &O, &UsedVector, &*Scalar);
-  if (!UsedVector) {
-    C.Strategy = BatchStrategy::ScalarLoop;
-    return C;
-  }
-
-  std::string LoopSource;
-  auto TakeWinner = [&]() {
-    if (C.Strategy == BatchStrategy::InstanceParallelFused)
-      C.ChosenSource = std::move(FusedSource);
-    else
-      C.ChosenSource = std::move(LoopSource); // empty unless measured
-  };
-
-  // Measure when possible; running a wider ISA than the host executes
-  // would fault, not measure.
-  if (!AllowCompile || !runtime::haveSystemCompiler() ||
-      !runtime::haveCycleCounter() || Nu > hostIsa().Nu) {
-    TakeWinner();
-    return C;
-  }
-
-  // Two probe batches: one divisible by every supported Nu (pure
-  // full-block path) and one remainder-heavy (count % Nu == Nu/2, the
-  // masked-tail path production batches pay on ragged counts). Ranking by
-  // the sum of the two medians keeps a strategy with a fast block loop but
-  // a slow tail from winning on divisible counts alone.
-  const int ProbeCounts[2] = {64, 64 + Nu / 2};
-  const std::string FuncName = R.Func.Name;
-  const int NumParams = static_cast<int>(R.Func.Params.size());
-
-  // One round: verify both emissions (a rejection refuses the request
-  // before anything compiles), compile them at once, then time them one by
-  // one in this order, so no timing shares the CPUs with a compile.
-  LoopSource = emitBatchedC(R);
-  struct Candidate {
-    BatchStrategy Strategy;
-    const std::string *Source;
-    double *CyclesOut;
-  };
-  const Candidate Cands[] = {
-      {BatchStrategy::ScalarLoop, &LoopSource, &C.LoopCycles},
-      {BatchStrategy::InstanceParallelFused, &FusedSource, &C.FusedCycles},
-  };
-  std::vector<runtime::CompileJob> Jobs;
-  for (const Candidate &Cand : Cands) {
-    if ((C.Rejected = verifyBeforeCompile(R, O, /*Batched=*/true,
-                                          Cand.Strategy, &*Scalar)))
-      return C;
-    Jobs.push_back({.CSource = *Cand.Source,
-                    .FuncName = FuncName,
-                    .NumParams = NumParams,
-                    .Opts = candidateOptions(T, /*WithBatchEntry=*/true)});
-  }
-  runtime::compileAll(Jobs);
-  int BestIdx = -1;
-  for (int I = 0; I < static_cast<int>(Jobs.size()); ++I) {
-    std::optional<runtime::JitKernel> &K = Jobs[I].Kernel;
-    if (!K)
-      continue;
-    obs::ScopedSpan Meas(
-        "tuner-measure", "tuner",
-        &obs::Registry::global().histogram("tuner.measure.us"));
-    double Sum = 0.0;
-    for (int Count : ProbeCounts) {
-      BatchBuffers B(R, Count);
-      runtime::Measurement M = runtime::measureCycles(
-          [&] {
-            B.refill();
-            K->callBatch(Count, B.Bufs.data());
-          },
-          T.Measure);
-      Sum += M.Median;
-    }
-    *Cands[I].CyclesOut = Sum;
-    if (BestIdx < 0 || Sum < *Cands[BestIdx].CyclesOut)
-      BestIdx = I;
-  }
-  if (BestIdx < 0) {
-    TakeWinner();
-    return C; // nothing compiled: keep the static choice
-  }
-  C.Measured = true;
-  C.Strategy = Cands[BestIdx].Strategy;
-  runtime::JitKernel &Winner = *Jobs[BestIdx].Kernel;
-
-  // Thread resolution (auto policy only): re-time the winner over a batch
-  // large enough to amortize a pool wakeup, single-threaded versus spread
-  // across the host's cores, and keep whichever is faster. Pinned
-  // policies skip this -- the caller already decided.
-  if (ThreadsPolicy == 0) {
-    const int N = runtime::defaultBatchThreads();
-    if (N > 1 && Winner.hasBatchSpan()) {
-      // Large enough to amortize the pool wakeup, plus a ragged tail so
-      // the threaded timing includes the masked remainder block.
-      const int CountMT = 64 * Nu + Nu / 2;
-      BatchBuffers B(R, CountMT);
-      obs::ScopedSpan Meas(
-          "tuner-measure", "tuner",
-          &obs::Registry::global().histogram("tuner.measure.us"));
-      runtime::Measurement Single = runtime::measureCycles(
-          [&] {
-            B.refill();
-            Winner.callBatch(CountMT, B.Bufs.data());
-          },
-          T.Measure);
-      runtime::Measurement Threaded = runtime::measureCycles(
-          [&] {
-            B.refill();
-            runtime::callBatchParallel(Winner, CountMT,
-                                       B.Bufs.data(), Nu, N);
-          },
-          T.Measure);
-      C.ThreadsMeasured = true;
-      C.SingleCycles = Single.Median;
-      C.ThreadedCycles = Threaded.Median;
-      C.Threads = Threaded.Median < Single.Median ? N : 1;
-    }
-  }
-  // The losing candidates' provisional objects go with Jobs.
-  C.Kernel = std::make_shared<runtime::JitKernel>(std::move(Winner));
-  TakeWinner();
-  return C;
+                                         const TuneOptions &, bool, int) {
+  return resolveBatchEmission(R, O, BatchStrategy::Auto);
 }
 
 std::optional<TuneResult> service::tuneKernel(const Generator &G,
@@ -340,7 +179,7 @@ std::optional<TuneResult> service::tuneKernel(const Generator &G,
     Jobs.push_back({.CSource = emitC(All[I]),
                     .FuncName = All[I].Func.Name,
                     .NumParams = static_cast<int>(All[I].Func.Params.size()),
-                    .Opts = candidateOptions(T, /*WithBatchEntry=*/false)});
+                    .Opts = provisionalCompileOptions(T)});
   }
   runtime::compileAll(Jobs);
   int BestIdx = -1;

@@ -1,4 +1,4 @@
-//===- service/Tuner.h - measured variant autotuning ----------------------===//
+//===- service/Tuner.h - variant autotuning and batch resolution ----------===//
 //
 // Part of the SLinGen reproduction. MIT license.
 //
@@ -12,6 +12,8 @@
 /// environment cannot measure (no system C compiler, no cycle counter, or
 /// no candidate compiles), tuning degrades to the static ranking -- the
 /// same policy Generator::best() implements -- and says so in the result.
+/// Batched requests then resolve their strategy by the static cost model
+/// alone (resolveBatchEmission).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -61,16 +63,22 @@ struct TuneResult {
 };
 
 /// The verifier gate every freshly generated emission passes before it is
-/// compiled -- each tuner candidate, each batch-strategy probe, and the
-/// served artifact: verifyEmittedIR over \p R as emitted for \p Batched
-/// and \p Strategy, reusing the caller's scalar recompile \p Pre when
-/// given. The `corrupt-ir` fault point breaks a copy of the function's
-/// register file here, so tests drive a rejection through whichever gate a
-/// request reaches first.
+/// compiled -- each tuner candidate and the served artifact: verifyEmittedIR
+/// over \p R as emitted for \p Batched and \p Strategy, reusing the
+/// caller's scalar recompile \p Pre when given. The `corrupt-ir` fault
+/// point breaks a copy of the function's register file here, so tests drive
+/// a rejection through whichever gate a request reaches first.
 std::optional<cir::VerifyError>
 verifyBeforeCompile(const GenResult &R, const GenOptions &O, bool Batched,
                     BatchStrategy Strategy,
                     const ScalarRecompile *Pre = nullptr);
+
+/// Options for compiling one object exactly as the served artifact will be
+/// compiled (see TuneOptions::KeepSoPath): a provisional object beside the
+/// served path, named per process and call so concurrent services sharing a
+/// cache directory never collide, or a process-local temporary when
+/// KeepSoPath is empty. A provisional object is served by publishing it.
+runtime::CompileOptions provisionalCompileOptions(const TuneOptions &T);
 
 /// Picks the best variant of \p G in one tuning round: the TopK best-ranked
 /// variants are all verified (a rejection returns before any compile
@@ -81,58 +89,38 @@ verifyBeforeCompile(const GenResult &R, const GenOptions &O, bool Batched,
 std::optional<TuneResult> tuneKernel(const Generator &G, const TuneOptions &T,
                                      std::string &Err);
 
-/// Outcome of resolving BatchStrategy::Auto for one batched kernel.
+/// A batched request's emission: the strategy it resolved to and the
+/// translation unit that strategy emits.
 struct BatchChoice {
   BatchStrategy Strategy = BatchStrategy::ScalarLoop; ///< never Auto
-  /// Resolved dispatch width (>= 1): how many threads the batch thread
-  /// pool should spread AoSoA blocks across for this kernel. 1 means
-  /// single-threaded dispatch.
-  int Threads = 1;
-  bool Measured = false; ///< strategy choice came from real timings
-  /// Sum of the median cycles over the two probe batches (one Nu-divisible,
-  /// one remainder-heavy; when Measured). Lower is better.
-  double LoopCycles = 0.0;
-  double FusedCycles = 0.0;
-  /// True when the thread count was resolved by measurement (an auto
-  /// policy on a multicore host with a runnable kernel).
-  bool ThreadsMeasured = false;
-  double SingleCycles = 0.0;   ///< winner at the large batch, one thread
-  double ThreadedCycles = 0.0; ///< winner at the large batch, Threads wide
-  /// The winning translation unit when the chooser already produced the
-  /// emission (every measured choice, and a static fused choice), so
-  /// the service does not regenerate it. Empty otherwise.
-  std::string ChosenSource;
-  /// The winner's loaded batched object (when Measured), compiled from
-  /// ChosenSource with the served options; provisional until published.
-  std::shared_ptr<runtime::JitKernel> Kernel;
-  /// Set when a strategy's emission failed static verification; no probe
-  /// was compiled, and the request must be refused.
+  std::string Source; ///< the batched translation unit
+  /// Set when the emission failed static verification; the request must be
+  /// refused.
   std::optional<cir::VerifyError> Rejected;
 };
 
-/// Resolves BatchStrategy::Auto for the tuned kernel \p R generated under
-/// \p O: when a compiler, a cycle counter, and a host that can execute the
-/// target ISA are all available (and \p AllowCompile), both batched
-/// emissions -- the scalar loop and the instance-parallel fused form --
-/// form one tuning round like tuneKernel's: both are verified first, then
-/// JIT-compiled at once with the served options (see
-/// TuneOptions::KeepSoPath), then timed one by one, in that order, over two
-/// deterministic instance batches (one divisible by every supported Nu, one
-/// remainder-heavy to exercise the masked tail); the lower summed median
-/// wins, the loop on ties. Otherwise the static cost model compares the
-/// scalar-loop estimate against the widened estimate (scalar kernel cost
-/// over Nu lanes plus the strided-access overhead). Scalar targets always
-/// resolve to ScalarLoop. Stage 2/3 re-runs once, for the scalar recompile
-/// the emission and every verify share.
-///
-/// \p ThreadsPolicy pins the dispatch width when >= 1; 0 asks the chooser
-/// to resolve it: the winning strategy is re-timed over a larger batch
-/// single-threaded versus spread across defaultBatchThreads() cores, and
-/// Threads records whichever won. Unmeasurable environments resolve an
-/// auto policy to 1.
+/// The one resolution ladder of a batched request for \p Requested, shared
+/// by the service and `slc`:
+///   - Auto takes the static rule: the instance-parallel fused form iff
+///     staticCost(scalar recompile) / Nu + elements / 2 < staticCost(R.Func),
+///     i.e. the widened kernel amortized over Nu instances plus its
+///     lane-at-a-time gathers/scatters beats the per-instance loop;
+///   - fused on an ISA with Nu < 2, or whose widening fails, is the loop;
+///   - the resolved strategy's translation unit is emitted and verified
+///     (verifyBeforeCompile).
+/// Stage 2/3 re-runs at most once, for the scalar recompile the rule, the
+/// emission and the verify share. Nothing is compiled or timed: measuring
+/// the two strategies never changed the choice on the workloads' kernels
+/// (README, "Auto tuning").
+BatchChoice resolveBatchEmission(const GenResult &R, const GenOptions &O,
+                                 BatchStrategy Requested);
+
+/// Resolves BatchStrategy::Auto for \p R generated under \p O:
+/// resolveBatchEmission(R, O, BatchStrategy::Auto). The unnamed parameters
+/// are no longer read; they keep the signature the benchmark calls until
+/// its next change (ROADMAP item 3).
 BatchChoice chooseBatchStrategy(const GenResult &R, const GenOptions &O,
-                                const TuneOptions &T, bool AllowCompile,
-                                int ThreadsPolicy = 0);
+                                const TuneOptions &, bool, int = 0);
 
 } // namespace service
 } // namespace slingen

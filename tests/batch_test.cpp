@@ -13,14 +13,18 @@
 #include "cir/Verify.h"
 #include "cir/Passes.h"
 #include "cir/Widen.h"
+#include "client/ClientImpl.h"
 #include "la/Lower.h"
 #include "la/Programs.h"
+#include "obs/Metrics.h"
 #include "runtime/BatchPool.h"
 #include "runtime/Jit.h"
 #include "runtime/Timing.h"
 #include "service/KernelService.h"
+#include "service/Tuner.h"
 #include "slingen/SLinGen.h"
 #include "support/AlignedBuffer.h"
+#include "support/File.h"
 #include "support/Random.h"
 
 #include "TestData.h"
@@ -579,8 +583,7 @@ TEST(Batched, ThreadedDispatchIsBitIdenticalToSingleThread) {
   std::string Err;
   auto K = runtime::JitKernel::compile(
       C, "p8mt", static_cast<int>(R.Func.Params.size()), CO, Err);
-  ASSERT_TRUE(K) << Err;
-  ASSERT_TRUE(K->hasBatchSpan()) << "span entry missing from emission";
+  ASSERT_TRUE(K) << Err; // a batched load requires the span entry
 
   const int Count = 9 * Isa.Nu + 3; // several blocks plus a remainder
   std::vector<AlignedBuffer> Init = makeInstances(R.Func, Count, 6100);
@@ -710,7 +713,6 @@ TEST(ServiceBatchStrategy, AutoResolvesPersistsAndRoundTrips) {
 
   BatchStrategy Chosen;
   int ChosenThreads;
-  bool Measured;
   std::string Key;
   {
     service::ServiceConfig C;
@@ -725,12 +727,10 @@ TEST(ServiceBatchStrategy, AutoResolvesPersistsAndRoundTrips) {
     Key = R->Key;
     EXPECT_NE(Chosen, BatchStrategy::Auto)
         << "published artifacts carry a concrete strategy";
-    EXPECT_GE(ChosenThreads, 1);
-    // With a compiler and cycle counter the choice is measured; otherwise
-    // the static model ran. Either way the disk tier records it.
-    Measured = runtime::haveSystemCompiler() && runtime::haveCycleCounter();
-    if (Measured && hostIsa().Nu >= 2)
-      EXPECT_EQ(S.stats().TunerRuns, 1);
+    EXPECT_EQ(ChosenThreads, 1) << "the auto thread policy dispatches on one";
+    // The static rule resolves Auto; nothing is tuned. The disk tier
+    // records the choice.
+    EXPECT_EQ(S.stats().TunerRuns, 0);
     std::string Meta =
         Dir.Path + "/" + Key.substr(0, 2) + "/" + Key.substr(2) + ".meta";
     ASSERT_TRUE(std::filesystem::exists(Meta));
@@ -757,6 +757,80 @@ TEST(ServiceBatchStrategy, AutoResolvesPersistsAndRoundTrips) {
   EXPECT_EQ(R2->Strategy, Chosen);
   EXPECT_EQ(R2->BatchThreads, ChosenThreads);
   EXPECT_EQ(R2->Key, Key);
+}
+
+// The static rule's choice on the workloads' kernels: a cost-model edit
+// that flips one of them to the scalar loop fails here. Nothing is compiled.
+TEST(ServiceBatchStrategy, StaticAutoPicksFusedOnWorkloadKernels) {
+  obs::Counter &Compiles =
+      obs::Registry::global().counter("runtime.jit-compiles");
+  const int64_t Before = Compiles.value();
+  const std::pair<const char *, std::string> Kernels[] = {
+      {"potrf4", la::potrfSource(4)},   {"potrf8", la::potrfSource(8)},
+      {"trsyl4", la::trsylSource(4)},   {"trsyl6", la::trsylSource(6)},
+      {"trlya4", la::trlyaSource(4)},   {"trlya6", la::trlyaSource(6)},
+      {"trtri8", la::trtriSource(8)},   {"kf4", la::kalmanSource(4, 4)},
+      {"gpr6", la::gprSource(6)},       {"l1a6", la::l1aSource(6)}};
+  for (const VectorISA *Isa : {&sse2Isa(), &avxIsa(), &avx512Isa()})
+    for (const auto &[Name, Src] : Kernels) {
+      SCOPED_TRACE(std::string(Name) + " on " + Isa->Name);
+      auto Gen = mustGenerate(Src, *Isa, Name);
+      ASSERT_TRUE(Gen);
+      GenOptions O;
+      O.Isa = Isa;
+      O.FuncName = Name;
+      service::BatchChoice BC =
+          service::chooseBatchStrategy(*Gen, O, {}, /*AllowCompile=*/true);
+      EXPECT_EQ(BC.Strategy, BatchStrategy::InstanceParallelFused);
+      EXPECT_FALSE(BC.Rejected);
+      EXPECT_NE(BC.Source.find(std::string(Name) + "_fusedblk"),
+                std::string::npos);
+    }
+  EXPECT_EQ(Compiles.value(), Before) << "the static rule compiled";
+}
+
+// Every batched object must define the `_batch_span` sub-range entry that
+// threaded dispatch calls: a batched load of one without it fails, naming
+// the symbol, and a shipped one surfaces as a protocol error.
+TEST(Batched, LoadWithoutSpanEntryFails) {
+  if (!runtime::haveSystemCompiler())
+    GTEST_SKIP() << "no system C compiler";
+  TempDir Dir;
+  // The batch entry is hand-written, so compile without the trampolines.
+  const std::string C = "void nospan(double *x) { x[0] += 1.0; }\n"
+                        "void nospan_batch_entry(int count,\n"
+                        "                        double *const *bufs) {\n"
+                        "  for (int b = 0; b < count; ++b)\n"
+                        "    nospan(bufs[0] + b);\n"
+                        "}\n";
+  runtime::CompileOptions CO;
+  CO.KeepSoPath = Dir.Path + "/nospan.so";
+  std::string Err;
+  auto Plain = runtime::JitKernel::compile(C, "nospan", 1, CO, Err);
+  ASSERT_TRUE(Plain) << Err;
+
+  auto K = runtime::JitKernel::load(CO.KeepSoPath, "nospan", 1, Err,
+                                    /*WithBatchEntry=*/true);
+  EXPECT_FALSE(K);
+  EXPECT_NE(Err.find("nospan_batch_span_entry"), std::string::npos) << Err;
+
+  net::ArtifactMsg Msg;
+  Msg.Key = "0123456789abcdef";
+  Msg.FuncName = "nospan";
+  Msg.IsaName = "scalar";
+  Msg.NumParams = 1;
+  Msg.Batched = true;
+  Msg.StrategyName = "loop";
+  Msg.CSource = C;
+  Msg.SoBytes = readFile(CO.KeepSoPath);
+  ASSERT_FALSE(Msg.SoBytes.empty());
+  sl::Result<sl::Kernel> Shipped =
+      sl::detail::KernelFactory::fromMessage(std::move(Msg), 0);
+  EXPECT_FALSE(Shipped);
+  EXPECT_EQ(Shipped.code(), sl::Code::ProtocolError) << Shipped.message();
+  EXPECT_NE(Shipped.message().find("nospan_batch_span_entry"),
+            std::string::npos)
+      << Shipped.message();
 }
 
 TEST(ServiceBatchStrategy, AutoDispatchMatchesIndividualCalls) {

@@ -420,13 +420,13 @@ TEST(ClientRemote, TransportRetryRecoversAfterDroppedConnection) {
   EXPECT_EQ(K0.code(), sl::Code::TransportError) << K0.message();
 }
 
-/// A daemon speaking the pre-deadline wire dialect: requests carrying the
-/// trailing want-timing/deadline bytes are rejected as malformed, exactly
-/// like a daemon built before those fields existed. Accepted requests get
-/// a canned source-only artifact.
-struct OldDaemon {
-  OldDaemon() {
-    Path = Dir.Path + "/old.sock";
+/// A daemon that rejects as malformed every request carrying the trailing
+/// want-timing/deadline/trace fields and serves a canned source-only
+/// artifact to a bare one: a client that resent a rejected request
+/// stripped of those fields would be served.
+struct RejectingDaemon {
+  RejectingDaemon() {
+    Path = Dir.Path + "/reject.sock";
     Fd = socket(AF_UNIX, SOCK_STREAM, 0);
     sockaddr_un SA{};
     SA.sun_family = AF_UNIX;
@@ -437,7 +437,7 @@ struct OldDaemon {
     if (Ok)
       T = std::thread([this] { serve(); });
   }
-  ~OldDaemon() {
+  ~RejectingDaemon() {
     if (Fd >= 0) {
       shutdown(Fd, SHUT_RDWR);
       close(Fd);
@@ -459,9 +459,6 @@ struct OldDaemon {
           continue;
         }
         net::Request R;
-        // The old decoder's strictness: any tail bytes are garbage (the
-        // in-process decoder is the new one, so emulate by rejecting every
-        // tail field it now accepts, trace ids included).
         if (!net::decodeRequest(F.Payload, R, Err) || R.WantTiming ||
             R.DeadlineMs > 0 || R.TraceId != 0) {
           ++Rejected;
@@ -475,10 +472,10 @@ struct OldDaemon {
         ++Served;
         net::ArtifactMsg A;
         A.Key = "0123456789abcdef";
-        A.FuncName = "old_daemon_k";
+        A.FuncName = "stripped_k";
         A.IsaName = "scalar";
         A.NumParams = 2;
-        A.CSource = "void old_daemon_k(double *A, double *X) {}\n";
+        A.CSource = "void stripped_k(double *A, double *X) {}\n";
         net::writeFrame(C, net::Verb::Artifact, net::encodeArtifact(A), Err);
       }
       close(C);
@@ -493,52 +490,25 @@ struct OldDaemon {
   std::thread T;
 };
 
-TEST(ClientRemote, OldDaemonDowngradeStripsDeadlineAndTiming) {
-  OldDaemon D;
+TEST(ClientRemote, RejectedRequestIsNotResent) {
+  RejectingDaemon D;
   ASSERT_TRUE(D.Ok);
   auto S = sl::Session::open("unix:" + D.Path);
   ASSERT_TRUE(S) << S.message();
 
-  // The old daemon rejects the first (deadline+timing) encoding as
-  // malformed; the client must quietly re-ask in the old dialect and
-  // still serve the kernel -- minus the breakdown, with the client-side
-  // deadline still bounding the wait.
+  // A rejection is the caller's answer: the request (every one rides with
+  // a trace id) is sent once, never again stripped of its trailing fields.
   auto R = sl::RequestBuilder()
                .source(la::potrfSource(8))
-               .name("cl_old")
-               .isa("scalar")
-               .wantTiming()
-               .deadlineMs(30000)
-               .build();
-  ASSERT_TRUE(R) << R.message();
-  auto K = S->get(*R);
-  ASSERT_TRUE(K) << K.message();
-  EXPECT_EQ(K->functionName(), "old_daemon_k");
-  EXPECT_EQ(K->timing(), nullptr);
-  EXPECT_EQ(D.Rejected.load(), 1);
-  EXPECT_EQ(D.Served.load(), 1);
-}
-
-TEST(ClientRemote, OldDaemonDowngradeStripsTraceId) {
-  OldDaemon D;
-  ASSERT_TRUE(D.Ok);
-  auto S = sl::Session::open("unix:" + D.Path);
-  ASSERT_TRUE(S) << S.message();
-
-  // Even a plain request now rides with a trace id, which the old daemon
-  // rejects as trailing garbage; the downgrade must strip it too -- the
-  // kernel is served untraced rather than not at all.
-  auto R = sl::RequestBuilder()
-               .source(la::potrfSource(8))
-               .name("cl_old_trace")
+               .name("cl_rejected")
                .isa("scalar")
                .build();
   ASSERT_TRUE(R) << R.message();
   auto K = S->get(*R);
-  ASSERT_TRUE(K) << K.message();
-  EXPECT_EQ(K->functionName(), "old_daemon_k");
+  EXPECT_FALSE(K);
+  EXPECT_EQ(K.code(), sl::Code::InvalidRequest) << K.message();
   EXPECT_EQ(D.Rejected.load(), 1);
-  EXPECT_EQ(D.Served.load(), 1);
+  EXPECT_EQ(D.Served.load(), 0);
 }
 
 //===----------------------------------------------------------------------===//
@@ -854,8 +824,8 @@ TEST(ClientTracing, MeasuredMissShipsEveryCompileSpanWithItsTraceId) {
   if (!runtime::haveSystemCompiler() || !runtime::haveCycleCounter() ||
       hostIsa().Nu < 2)
     GTEST_SKIP() << "needs a compiler, a cycle counter and vector lanes";
-  // A measured batched miss compiles TopK' variants, then two strategy
-  // probes, each round on several threads of the daemon.
+  // A measured batched miss compiles TopK' variants on several threads of
+  // the daemon, then the batched translation unit.
   GenOptions O;
   O.Isa = &hostIsa();
   std::string Err;
@@ -867,7 +837,7 @@ TEST(ClientTracing, MeasuredMissShipsEveryCompileSpanWithItsTraceId) {
   const int Compiles =
       std::min<int>(SC.TuneTopK,
                     static_cast<int>(G.enumerate(SC.MaxVariants).size())) +
-      2;
+      1;
 
   bool WasOn = sl::tracingEnabled();
   sl::clearTrace();

@@ -813,14 +813,14 @@ TEST(SldServer, RemoteBatchedFusedMatchesLocalByteForByte) {
   EXPECT_EQ(A.BatchThreads, 2);
   ASSERT_FALSE(A.SoBytes.empty());
 
-  // The shipped object carries both batched entries, so a compiler-less
-  // client can dispatch it threaded.
+  // The shipped object carries both batched entries (a batched load
+  // requires the span entry), so a compiler-less client can dispatch it
+  // threaded.
   auto K = runtime::JitKernel::loadFromBytes(A.SoBytes, A.FuncName,
                                              A.NumParams, Err,
                                              /*WithBatchEntry=*/true);
   ASSERT_TRUE(K) << Err;
   EXPECT_TRUE(K->hasBatchEntry());
-  EXPECT_TRUE(K->hasBatchSpan());
 }
 
 // The structured error categories Client::get surfaces: a daemon-side

@@ -778,11 +778,11 @@ TEST(ServiceTuner, MeasuredBatchedMissCompilesEachCandidateOnce) {
   GetResult R = S.get(Src, O, Req);
   ASSERT_TRUE(R) << R.Error;
   EXPECT_TRUE(R->Measured);
-  // The measured variants, then the loop/fused probes; the winning probe
-  // is what is served, so nothing is compiled a second time.
-  EXPECT_EQ(static_cast<int>(Log.compiles().size()), Variants + 2);
-  EXPECT_EQ(S.stats().Compilations, 0);
-  EXPECT_EQ(R.Timing.CompileUs, 0);
+  // The measured variants, then the one batched translation unit the
+  // static rule chose; nothing is compiled a second time.
+  EXPECT_EQ(static_cast<int>(Log.compiles().size()), Variants + 1);
+  EXPECT_EQ(S.stats().Compilations, 1);
+  EXPECT_GT(R.Timing.CompileUs, 0);
   expectServedAsCompiled(Dir.Path, Src, O, Req, R, Log, 2 * hostIsa().Nu + 3);
 }
 
@@ -809,11 +809,11 @@ TEST(ServiceTuner, MeasuredMissCompilesEachRoundAtOnceThenTimes) {
   ASSERT_TRUE(R) << R.Error;
   EXPECT_TRUE(R->Measured);
 
-  // TopK' + 2 compiles: the variant round, then the strategy round, which
-  // starts only when every variant compile has ended.
+  // TopK' + 1 compiles: the variant round, then the batched translation
+  // unit, which starts only when every variant compile has ended.
   std::vector<int> Running = Log.running();
-  ASSERT_EQ(static_cast<int>(Running.size()), Variants + 2);
-  EXPECT_EQ(Running[Variants], 1) << "the rounds overlap";
+  ASSERT_EQ(static_cast<int>(Running.size()), Variants + 1);
+  EXPECT_EQ(Running[Variants], 1) << "the batched compile overlaps the round";
   const int MaxRunning = *std::max_element(Running.begin(), Running.end());
   const int Cpus = runtime::affinityCpus();
   EXPECT_LE(MaxRunning, Cpus) << "more compiles at once than CPUs";
@@ -830,8 +830,8 @@ TEST(ServiceTuner, MeasuredMissCompilesEachRoundAtOnceThenTimes) {
     else if (Sp.Name == "tuner-measure")
       Measure.push_back(&Sp);
   }
-  EXPECT_EQ(static_cast<int>(Cc.size()), Variants + 2);
-  EXPECT_GE(static_cast<int>(Measure.size()), Variants + 2);
+  EXPECT_EQ(static_cast<int>(Cc.size()), Variants + 1);
+  EXPECT_GE(static_cast<int>(Measure.size()), Variants);
   for (const obs::Span *M : Measure)
     for (const obs::Span *K : Cc)
       EXPECT_FALSE(M->StartUs < K->StartUs + K->DurUs &&
@@ -867,9 +867,9 @@ TEST(ServiceTuner, CorruptIRReachesNoCompile) {
   obs::Counter &Compiles =
       obs::Registry::global().counter("runtime.jit-compiles");
   // Measured: the first gate is the variant tuner's; unmeasured batched
-  // Auto: the strategy chooser's first probe.
+  // Auto: the batched emission's.
   for (bool Measure : {true, false}) {
-    SCOPED_TRACE(Measure ? "measured" : "strategy probes only");
+    SCOPED_TRACE(Measure ? "measured" : "batched emission only");
     ServiceConfig C;
     C.Measure = Measure;
     C.MeasureRepeats = 3;

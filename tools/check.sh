@@ -95,11 +95,12 @@ fi
 
 echo "== slc smoke =="
 SMOKE_OUT=$(mktemp)
+SMOKE_BODY=$(mktemp)
 SMOKE_CACHE=$(mktemp -d)
 SLD_PID=""
 cleanup() {
   [ -n "$SLD_PID" ] && kill "$SLD_PID" 2>/dev/null || true
-  rm -rf "$SMOKE_OUT" "$SMOKE_CACHE"
+  rm -rf "$SMOKE_OUT" "$SMOKE_BODY" "$SMOKE_CACHE"
 }
 trap cleanup EXIT
 for LA in "$ROOT"/examples/*.la; do
@@ -110,6 +111,15 @@ for LA in "$ROOT"/examples/*.la; do
   grep -q "_batch(int count" "$SMOKE_OUT"
   # Second run must serve the identical kernel from the disk cache.
   "$BUILD/slc" -batch -cache-dir "$SMOKE_CACHE" "$LA" | cmp -s - "$SMOKE_OUT"
+  # Batched Auto resolves in one place: the C is identical without a
+  # compiler, through the compiling service (above), and on the direct
+  # pipeline path (-print-basic), whose header names no cache key.
+  "$BUILD/slc" -batch "$LA" | cmp -s - "$SMOKE_OUT" \
+    || { echo "slc -batch and -batch -cache-dir emit different C" >&2; exit 1; }
+  tail -n +3 "$SMOKE_OUT" > "$SMOKE_BODY"
+  "$BUILD/slc" -batch -print-basic "$LA" 2> /dev/null | tail -n +3 \
+    | cmp -s - "$SMOKE_BODY" \
+    || { echo "slc -batch pipeline path emits different C" >&2; exit 1; }
   # Every pinned batch strategy emits the shared batch ABI plus the
   # _batch_span sub-range entry threaded dispatch needs.
   "$BUILD/slc" -batch -batch-strategy loop "$LA" > "$SMOKE_OUT"

@@ -26,7 +26,7 @@
 //     -batch-strategy  loop | fused | auto (default auto): how the
 //                      batch entry iterates instances
 //     -batch-threads k batched dispatch width recorded on the artifact
-//                      (0 = auto: the service measures; k >= 1 pins)
+//                      (0 = auto: one thread; k >= 1 pins)
 //     -set k=v         any GenOptions key (see slingen/OptionsIO.h); the
 //                      named flags above are sugar for these
 //     -service k=v     any ServiceConfig key (local service mode)
@@ -101,7 +101,7 @@ void usage(const char *Argv0) {
           "  -cache-dir <dir>  persist/reuse compiled kernels across runs\n"
           "  -batch            also emit <name>_batch(int count, ...)\n"
           "  -batch-strategy <s>  loop | fused | auto (default auto)\n"
-          "  -batch-threads <k>  dispatch width (0 = auto, k >= 1 pins)\n"
+          "  -batch-threads <k>  dispatch width (0 = 1 thread, k >= 1 pins)\n"
           "  -set k=v          set any GenOptions key\n"
           "  -service k=v      set any ServiceConfig key\n"
           "  -connect <addr>   request from the sld daemon at <addr>\n"
@@ -701,30 +701,19 @@ int main(int argc, char **argv) {
   if (!Batch) {
     C += emitC(*Result);
   } else {
-    // Without a service there is nothing to measure against, so Auto
-    // resolves by the static cost model alone; the chooser already
-    // produced the winning emission when fused won. (Mirrors the
-    // resolution ladder in the service.)
+    // The service's resolution ladder (service::resolveBatchEmission), so
+    // this path emits what a served request would.
     BatchStrategy S = StrategyName.empty()
                           ? BatchStrategy::Auto
                           : *batchStrategyByName(StrategyName);
-    if (S == BatchStrategy::InstanceParallelFused && Options.Isa->Nu < 2) {
+    if (S == BatchStrategy::InstanceParallelFused && Options.Isa->Nu < 2)
       fprintf(stderr, "warning: -batch-strategy fused needs a vector ISA; "
                       "emitting the scalar loop\n");
-      S = BatchStrategy::ScalarLoop;
-    }
-    std::string Emitted;
-    if (S == BatchStrategy::Auto) {
-      service::BatchChoice BC = service::chooseBatchStrategy(
-          *Result, Options, {}, /*AllowCompile=*/false, BatchThreads);
-      S = BC.Strategy;
-      Emitted = std::move(BC.ChosenSource);
-    }
-    if (S == BatchStrategy::InstanceParallelFused && Emitted.empty())
-      Emitted = emitBatchedVectorFusedC(*Result, &Options);
-    else if (Emitted.empty())
-      Emitted = emitBatchedC(*Result);
-    C += Emitted;
+    service::BatchChoice BC =
+        service::resolveBatchEmission(*Result, Options, S);
+    if (BC.Rejected)
+      return fail("C-IR verification failed: " + BC.Rejected->str());
+    C += BC.Source;
   }
 
   if (Output.empty()) {
