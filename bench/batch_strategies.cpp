@@ -11,12 +11,11 @@
 // remainder-heavy {33, 1025} (count % Nu == 1 for every supported Nu: the
 // worst-case masked-tail path): the workload shape the paper's Sec. 5
 // "batched computations" sketch targets. On multicore hosts both variants
-// additionally get threaded rows ("-mt<k>", workers pinned to cores)
-// and unpinned counterparts ("-mt<k>-nopin") dispatched through the
-// runtime batch thread pool, so the affinity win is itself measured. A
-// google-benchmark binary so `tools/bench_batch.sh` can record
-// BENCH_batch.json for the perf trajectory; CPU/NUMA topology is recorded
-// in the JSON context so rows from different hosts are comparable.
+// additionally get threaded rows ("-mt<k>") dispatched through the runtime
+// batch thread pool. A google-benchmark binary so `tools/bench_batch.sh`
+// can record BENCH_batch.json for the perf trajectory; the CPU count is
+// recorded in the JSON context so rows from different hosts are
+// comparable.
 //
 // Skips cleanly (registering no benchmarks, still writing valid JSON when
 // --benchmark_out is given) when no system C compiler is available or the
@@ -37,11 +36,10 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdio>
-#include <filesystem>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 using namespace slingen;
@@ -103,6 +101,13 @@ std::shared_ptr<BatchBench> makeBench(const GenResult &R,
   return B;
 }
 
+/// Width of the threaded rows: every CPU this process may run on, capped
+/// at what the pool can use.
+int batchThreads() {
+  return std::min(runtime::affinityCpus(),
+                  runtime::BatchPool::MaxPoolWorkers + 1);
+}
+
 void registerKernel(const char *Label, const std::string &Source, int N) {
   std::string Err;
   auto P = la::compileLa(Source, Err);
@@ -139,7 +144,7 @@ void registerKernel(const char *Label, const std::string &Source, int N) {
       {"loop", emitBatchedC(*R)},
       {"fused", std::move(FusedSource)},
   };
-  const int MT = runtime::defaultBatchThreads();
+  const int MT = batchThreads();
   for (const auto &V : Variants) {
     if (V.Source.empty())
       continue;
@@ -161,41 +166,19 @@ void registerKernel(const char *Label, const std::string &Source, int N) {
           });
       if (MT > 1) {
         const int Nu = hostIsa().Nu;
-        // Pinned (default) and unpinned pool rows: the delta is the
-        // affinity win for this kernel/count on this host.
-        for (bool Pin : {true, false}) {
-          std::string Name = Base + V.Name + "-mt" + std::to_string(MT) +
-                             (Pin ? "" : "-nopin");
-          benchmark::RegisterBenchmark(
-              Name.c_str(), [B, Count, Nu, MT, Pin](benchmark::State &State) {
-                runtime::BatchPool::setPinning(Pin);
-                for (auto _ : State) {
-                  runtime::callBatchParallel(B->Kernel, Count,
-                                             B->Bufs.data(), Nu, MT);
-                  benchmark::ClobberMemory();
-                }
-                runtime::BatchPool::setPinning(true);
-                State.SetItemsProcessed(State.iterations() * Count);
-              });
-        }
+        std::string Name = Base + V.Name + "-mt" + std::to_string(MT);
+        benchmark::RegisterBenchmark(
+            Name.c_str(), [B, Count, Nu, MT](benchmark::State &State) {
+              for (auto _ : State) {
+                runtime::callBatchParallel(B->Kernel, Count, B->Bufs.data(),
+                                           Nu, MT);
+                benchmark::ClobberMemory();
+              }
+              State.SetItemsProcessed(State.iterations() * Count);
+            });
       }
     }
   }
-}
-
-/// NUMA node count from sysfs (no libnuma dependency); 1 when the
-/// topology is not exposed.
-int numaNodeCount() {
-  int Nodes = 0;
-  std::error_code Ec;
-  for (const auto &E : std::filesystem::directory_iterator(
-           "/sys/devices/system/node", Ec)) {
-    const std::string Name = E.path().filename().string();
-    if (Name.rfind("node", 0) == 0 &&
-        Name.find_first_not_of("0123456789", 4) == std::string::npos)
-      ++Nodes;
-  }
-  return Nodes > 0 ? Nodes : 1;
 }
 
 } // namespace
@@ -211,7 +194,7 @@ int main(int argc, char **argv) {
             "only strategy -- skipping\n");
     Skip = true;
   }
-  if (runtime::defaultBatchThreads() < 2)
+  if (batchThreads() < 2)
     fprintf(stderr, "batch_strategies: single-core host; threaded rows "
                     "skipped\n");
   if (!Skip) {
@@ -223,13 +206,10 @@ int main(int argc, char **argv) {
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv))
     return 1;
-  // Topology context so pinned/unpinned rows from different hosts stay
-  // interpretable in the recorded JSON.
-  benchmark::AddCustomContext(
-      "ncpus", std::to_string(std::thread::hardware_concurrency()));
-  benchmark::AddCustomContext("numa_nodes", std::to_string(numaNodeCount()));
-  benchmark::AddCustomContext(
-      "batch_threads", std::to_string(runtime::defaultBatchThreads()));
+  benchmark::AddCustomContext("ncpus",
+                              std::to_string(runtime::affinityCpus()));
+  benchmark::AddCustomContext("batch_threads",
+                              std::to_string(batchThreads()));
   benchmark::AddCustomContext("pool_max_workers",
                               std::to_string(runtime::BatchPool::MaxPoolWorkers));
   benchmark::RunSpecifiedBenchmarks();

@@ -87,7 +87,8 @@ std::string contentHash(const std::string &Bytes) {
 
 /// `ab/cdef...` -- 256-way fan-out by the leading two hex digits. Keys are
 /// fixed-width hexDigest() output; anything shorter (never produced by the
-/// service) stays unsharded rather than fabricating a one-char shard.
+/// service) stays unsharded rather than fabricating a one-char shard, and
+/// the GC scan, which reads only shard directories, does not count it.
 std::string shardedStem(const std::string &Key) {
   if (Key.size() < 3)
     return Key;
@@ -98,12 +99,6 @@ std::string shardedStem(const std::string &Key) {
 
 KernelCache::EntryPaths KernelCache::pathsFor(const std::string &Key) const {
   std::string Stem = Dir + "/" + shardedStem(Key);
-  return {Stem + ".c", Stem + ".so", Stem + ".meta"};
-}
-
-KernelCache::EntryPaths
-KernelCache::flatPathsFor(const std::string &Key) const {
-  std::string Stem = Dir + "/" + Key;
   return {Stem + ".c", Stem + ".so", Stem + ".meta"};
 }
 
@@ -129,19 +124,8 @@ bool KernelCache::resolveOnDisk(const std::string &Key,
   if (Dir.empty())
     return false;
   std::error_code Ec;
-  EntryPaths Sharded = pathsFor(Key);
-  if (fs::exists(Sharded.Meta, Ec) && fs::exists(Sharded.C, Ec)) {
-    Out = Sharded;
-    return true;
-  }
-  // Pre-shard flat entry: a cache directory written before sharding (or
-  // rsync'd from one) keeps serving without migration.
-  EntryPaths Flat = flatPathsFor(Key);
-  if (fs::exists(Flat.Meta, Ec) && fs::exists(Flat.C, Ec)) {
-    Out = Flat;
-    return true;
-  }
-  return false;
+  Out = pathsFor(Key);
+  return fs::exists(Out.Meta, Ec) && fs::exists(Out.C, Ec);
 }
 
 bool KernelCache::onDisk(const std::string &Key) const {
@@ -197,7 +181,10 @@ ArtifactPtr KernelCache::loadFromDisk(const std::string &Key,
       if (!Tok.empty())
         A->Choice.push_back(atoi(Tok.c_str()));
   }
+  // Every store records `c-hash`; a meta without it is not one this cache
+  // wrote, so nothing it describes is trusted.
   if (!StrategyOk || A->FuncName.empty() || A->NumParams <= 0 ||
+      KV["c-hash"].empty() ||
       (A->IsaName != "scalar" && A->IsaName != "sse2" &&
        A->IsaName != "avx" && A->IsaName != "avx512")) {
     Err = "corrupt meta for " + Key;
@@ -211,24 +198,17 @@ ArtifactPtr KernelCache::loadFromDisk(const std::string &Key,
   // Verify what the store recorded. Mismatch means a torn or corrupted
   // entry sitting under a valid content key -- quarantine it (miss) rather
   // than compile garbage or dlopen an object that was never fully written.
-  // Entries from before hashing carry no hash keys and load unverified.
-  if (!KV["c-hash"].empty() && KV["c-hash"] != contentHash(A->CSource)) {
+  if (KV["c-hash"] != contentHash(A->CSource)) {
     quarantineEntry(Key);
     Err = "corrupt cached source for " + Key + " (quarantined)";
     return nullptr;
   }
 
-  // The object may live beside the meta, or -- for a flat entry whose .so
-  // was later recompiled by the service -- at the canonical sharded path.
   std::error_code Ec;
-  std::string SoPath = Paths.So;
-  if (!fs::exists(SoPath, Ec) && SoPath != soPathFor(Key) &&
-      fs::exists(soPathFor(Key), Ec))
-    SoPath = soPathFor(Key);
-  if (fs::exists(SoPath, Ec)) {
+  if (fs::exists(Paths.So, Ec)) {
     if (!KV["so-hash"].empty()) {
       bool SoOk = false;
-      std::string SoBytes = readFile(SoPath, &SoOk);
+      std::string SoBytes = readFile(Paths.So, &SoOk);
       if (!SoOk || KV["so-hash"] != contentHash(SoBytes)) {
         quarantineEntry(Key);
         Err = "corrupt cached object for " + Key + " (quarantined)";
@@ -236,7 +216,7 @@ ArtifactPtr KernelCache::loadFromDisk(const std::string &Key,
       }
     }
     std::string LoadErr;
-    auto K = runtime::JitKernel::load(SoPath, A->FuncName, A->NumParams,
+    auto K = runtime::JitKernel::load(Paths.So, A->FuncName, A->NumParams,
                                       LoadErr, A->Batched);
     // A stale/foreign .so is not fatal: the service recompiles from the
     // cached source instead of failing the request.
@@ -248,13 +228,13 @@ ArtifactPtr KernelCache::loadFromDisk(const std::string &Key,
 
 void KernelCache::quarantineEntry(const std::string &Key) {
   std::error_code Ec;
-  for (const EntryPaths &P : {pathsFor(Key), flatPathsFor(Key)})
-    for (const std::string &F : {P.C, P.So, P.Meta})
-      if (fs::exists(F, Ec))
-        // The .bad extension hides the file from resolveOnDisk and the GC
-        // scan (which only index .c/.so/.meta) while keeping the bytes
-        // around for a postmortem.
-        rename(F.c_str(), (F + ".bad").c_str());
+  const EntryPaths P = pathsFor(Key);
+  for (const std::string &F : {P.C, P.So, P.Meta})
+    if (fs::exists(F, Ec))
+      // The .bad extension hides the file from resolveOnDisk and the GC
+      // scan (which only index .c/.so/.meta) while keeping the bytes
+      // around for a postmortem.
+      rename(F.c_str(), (F + ".bad").c_str());
   NumQuarantined.fetch_add(1);
   obs::Registry::global().counter("cache.quarantined").add();
   obs::EventLog::global().log(obs::EventLog::Level::Error,
@@ -381,20 +361,16 @@ void KernelCache::indexDiskEntryLocked(const std::string &Key) {
   dropFromIndexLocked(Key);
   DiskEntry E;
   std::error_code Ec;
-  // Both layouts can carry files for one key (a flat entry whose .so was
-  // recompiled to the sharded path); the entry owns them all, exactly as
-  // the full scan would account them.
-  for (const EntryPaths &P : {pathsFor(Key), flatPathsFor(Key)}) {
-    for (const std::string &F : {P.C, P.So, P.Meta}) {
-      uintmax_t Sz = fs::file_size(F, Ec);
-      if (Ec)
-        continue;
-      E.Files.emplace_back(F, Sz);
-      E.Bytes += Sz;
-      fs::file_time_type M = fs::last_write_time(F, Ec);
-      if (!Ec && M > E.Mtime)
-        E.Mtime = M;
-    }
+  const EntryPaths P = pathsFor(Key);
+  for (const std::string &F : {P.C, P.So, P.Meta}) {
+    uintmax_t Sz = fs::file_size(F, Ec);
+    if (Ec)
+      continue;
+    E.Files.emplace_back(F, Sz);
+    E.Bytes += Sz;
+    fs::file_time_type M = fs::last_write_time(F, Ec);
+    if (!Ec && M > E.Mtime)
+      E.Mtime = M;
   }
   if (E.Files.empty())
     return;
@@ -434,14 +410,9 @@ void KernelCache::scanDiskTierLocked() const {
   DiskByAge.clear();
   DiskTotal = 0;
   ++NumDiskScans;
-  // Scan the two layouts: flat `<key>.{c,so,meta}` at the top level and
-  // sharded `ab/<rest>.{c,so,meta}` one level down.
+  // Entries live one level down, as `ab/<rest>.{c,so,meta}`.
   std::error_code Ec;
   for (const fs::directory_entry &Top : fs::directory_iterator(Dir, Ec)) {
-    if (Top.is_regular_file(Ec)) {
-      gcAccumulate(DiskIndex, Top.path().stem().string(), Top);
-      continue;
-    }
     if (!Top.is_directory(Ec))
       continue;
     std::string Shard = Top.path().filename().string();

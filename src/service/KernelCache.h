@@ -21,8 +21,7 @@
 ///                anything. Entries are sharded into 256 subdirectories by
 ///                the first two hex digits of the key, so a production
 ///                cache of 10^5+ kernels never puts every file in one flat
-///                directory; flat pre-shard entries (`<key>.meta` at the
-///                top level) are still read transparently.
+///                directory. Only the sharded layout is read.
 ///
 /// The cache never invokes the generator or the compiler itself; the
 /// service compiles straight to soPathFor(key) when persisting.
@@ -34,8 +33,9 @@
 /// without atomic rename durability, or plain disk corruption),
 /// quarantines the whole entry: every file is renamed to `<file>.bad`
 /// (invisible to lookups and GC), the load reports a miss, and the
-/// service regenerates and re-stores a clean entry. Entries written
-/// before hashing load unverified, exactly as before.
+/// service regenerates and re-stores a clean entry. A .meta without
+/// `c-hash=` is corrupt: the load reports a miss and the service rewrites
+/// the entry.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -132,9 +132,7 @@ public:
   bool hasDiskTier() const { return !Dir.empty(); }
   const std::string &diskDir() const { return Dir; }
 
-  /// Canonical (sharded) entry paths: `<dir>/<key[0:2]>/<key[2:]>.{c,so,
-  /// meta}`. These name where new entries go; reads fall back to the flat
-  /// pre-shard layout when no sharded entry exists.
+  /// Entry paths: `<dir>/<key[0:2]>/<key[2:]>.{c,so,meta}`.
   std::string cPathFor(const std::string &Key) const;
   std::string soPathFor(const std::string &Key) const;
   std::string metaPathFor(const std::string &Key) const;
@@ -143,8 +141,7 @@ public:
   /// straight to soPathFor(Key) before the entry itself is stored.
   void ensureEntryDir(const std::string &Key) const;
 
-  /// True when the disk tier has a complete source+meta entry for \p Key
-  /// (sharded or flat).
+  /// True when the disk tier has a complete source+meta entry for \p Key.
   bool onDisk(const std::string &Key) const;
 
   /// Reconstructs an artifact from the disk tier: reads meta + C and, when
@@ -166,11 +163,10 @@ public:
   bool storeToDisk(const KernelArtifact &A, std::string &Err);
 
   /// Size-bounded GC for the disk tier: while the tier's total byte size
-  /// (sharded and flat entries alike) exceeds \p MaxBytes, whole entries
-  /// -- the .c/.so/.meta file group of one key -- are evicted
-  /// oldest-mtime-first. \p KeepKey (normally the entry just stored) is
-  /// never evicted, so the triggering store survives even under a budget
-  /// smaller than one entry. Memory-tier references are untouched:
+  /// exceeds \p MaxBytes, whole entries -- the .c/.so/.meta file group of
+  /// one key -- are evicted oldest-mtime-first. \p KeepKey (normally the
+  /// entry just stored) is never evicted, so the triggering store survives
+  /// even under a budget smaller than one entry. Memory-tier references are untouched:
   /// already-loaded kernels keep serving, the key just regenerates on the
   /// next cold miss. Returns the number of entries evicted. MaxBytes <= 0
   /// or no disk tier is a no-op.
@@ -200,7 +196,7 @@ public:
   size_t diskEntries() const;
   long diskBytes() const;
 
-  /// Re-stats one entry's on-disk files (both layouts) and folds the result
+  /// Re-stats one entry's on-disk files and folds the result
   /// into the incremental accounting. For writes that bypass storeToDisk,
   /// e.g. recompiling a cached entry's missing .so in place. No-op before
   /// the first scan or without a disk tier.
@@ -212,24 +208,21 @@ private:
     std::list<std::string>::iterator LruIt;
   };
 
-  /// On-disk file set of one entry, resolved to whichever layout (sharded
-  /// first, then flat) actually holds it.
+  /// On-disk file set of one entry.
   struct EntryPaths {
     std::string C, So, Meta;
   };
-  EntryPaths pathsFor(const std::string &Key) const; ///< canonical (sharded)
-  EntryPaths flatPathsFor(const std::string &Key) const;
-  /// Moves every on-disk file of \p Key (both layouts) aside to
+  EntryPaths pathsFor(const std::string &Key) const;
+  /// Moves every on-disk file of \p Key aside to
   /// `<file>.bad` and drops the entry from the size index. The .bad
   /// extension keeps the evidence for postmortems while making the entry
   /// invisible to resolveOnDisk and GC alike.
   void quarantineEntry(const std::string &Key);
-  /// Layout holding \p Key's meta+C, preferring sharded; false when neither
-  /// layout has a complete entry.
+  /// \p Key's paths in \p Out; false when its meta or C is missing.
   bool resolveOnDisk(const std::string &Key, EntryPaths &Out) const;
 
-  /// One indexed disk entry: the files carrying its bytes (across both
-  /// layouts), their total, and the newest file mtime (the eviction age).
+  /// One indexed disk entry: the files carrying its bytes, their total,
+  /// and the newest file mtime (the eviction age).
   struct DiskEntry {
     std::vector<std::pair<std::string, uintmax_t>> Files;
     uintmax_t Bytes = 0;

@@ -281,40 +281,58 @@ TEST(ServiceCache, TwoServicesPublishOneKeyAtOnce) {
   EXPECT_EQ(Fresh.stats().Compilations, 0);
 }
 
-TEST(ServiceCache, FlatPreShardEntriesStillServe) {
+// Every store writes a `c-hash` line and uses the sharded layout, so a
+// .meta without the hash, or an entry at the top level of the directory,
+// was not written by this cache: neither is served, and the miss rewrites
+// the entry in full.
+TEST(ServiceCache, UnhashedOrFlatEntriesAreRegenerated) {
   TempDir Dir;
   std::string Src = la::potrfSource(8);
   GenOptions O;
   O.Isa = &scalarIsa();
-  O.FuncName = "potrf_flat";
+  O.FuncName = "potrf_unhashed";
+  ServiceConfig C;
+  C.CacheDir = Dir.Path;
+  C.UseCompiler = false; // layout logic is compiler-independent
   std::string Key;
   {
-    ServiceConfig C;
-    C.CacheDir = Dir.Path;
-    C.UseCompiler = false; // layout logic is compiler-independent
     KernelService S1(C);
     GetResult R = S1.get(Src, O);
     ASSERT_TRUE(R) << R.Error;
     Key = R->Key;
   }
-  // Rewrite the entry in the pre-shard flat layout (what a cache directory
-  // written before sharding looks like).
-  ASSERT_TRUE(std::filesystem::exists(shardedPath(Dir.Path, Key, ".meta")));
+  const std::string Meta = shardedPath(Dir.Path, Key, ".meta");
+  auto ExpectRegenerated = [&](const char *What) {
+    KernelService S(C);
+    GetResult R = S.get(Src, O);
+    ASSERT_TRUE(R) << What << ": " << R.Error;
+    EXPECT_EQ(S.stats().DiskHits, 0) << What;
+    EXPECT_EQ(S.stats().Generations, 1) << What;
+    EXPECT_EQ(S.stats().Quarantined, 0) << What;
+    EXPECT_NE(readFile(Meta).find("c-hash="), std::string::npos) << What;
+  };
+
+  // A flat copy of an intact entry at the top level is not served.
   for (const char *Ext : {".meta", ".c"})
     std::filesystem::rename(shardedPath(Dir.Path, Key, Ext),
                             Dir.Path + "/" + Key + Ext);
-  std::filesystem::remove_all(Dir.Path + "/" + Key.substr(0, 2));
+  ExpectRegenerated("flat entry");
 
-  ServiceConfig C2;
-  C2.CacheDir = Dir.Path;
-  C2.UseCompiler = false;
-  KernelService S2(C2);
-  GetResult R2 = S2.get(Src, O);
-  ASSERT_TRUE(R2) << R2.Error;
-  EXPECT_EQ(S2.stats().DiskHits, 1);
-  EXPECT_EQ(S2.stats().Generations, 0);
-  EXPECT_EQ(R2->Key, Key);
-  EXPECT_FALSE(R2->CSource.empty());
+  // A sharded entry whose .meta lost its c-hash line is not served either.
+  std::string Text = readFile(Meta);
+  size_t At = Text.find("c-hash=");
+  ASSERT_NE(At, std::string::npos);
+  Text.erase(At, Text.find('\n', At) + 1 - At);
+  std::ofstream(Meta) << Text;
+  ExpectRegenerated("meta without c-hash");
+
+  // The rewritten entry serves from disk.
+  KernelService S3(C);
+  GetResult R3 = S3.get(Src, O);
+  ASSERT_TRUE(R3) << R3.Error;
+  EXPECT_EQ(S3.stats().DiskHits, 1);
+  EXPECT_EQ(S3.stats().Generations, 0);
+  EXPECT_EQ(R3->Key, Key);
 }
 
 // Unit-level GC: fabricated entries with controlled mtimes are evicted
