@@ -382,18 +382,23 @@ public:
   /// True when a loaded, executable object is attached (a kernel can be
   /// source-only: no compiler on the serving side).
   bool callable() const;
-  /// True when this host can execute the kernel's target ISA.
+  /// True when this host can execute the kernel's target ISA (false for
+  /// an ISA name this build does not know).
   bool hostRunnable() const;
 
   /// Single-instance dispatch: Buffers[i] points at parameter i's
-  /// row-major storage. Fails with NoCompiler (source-only) or
-  /// NotRunnable (ISA wider than the host).
+  /// row-major storage. Fails with InvalidRequest (empty handle),
+  /// NoCompiler (source-only) or NotRunnable (ISA unknown or wider than
+  /// the host). The handle's ISA and runnability are resolved when get()
+  /// returns it, so a successful call is one branch plus the entry call.
   Status call(double *const *Buffers) const;
 
   /// Batched dispatch over \p Count contiguous instances per parameter
   /// (instance b of parameter i at Buffers[i] + b*Rows_i*Cols_i), spread
-  /// across batchThreads() workers when that width is more than one. Additionally fails with InvalidRequest when the kernel was
-  /// not requested batched.
+  /// across batchThreads() workers when that width is more than one.
+  /// Fails as call() does, and with InvalidRequest when the kernel was
+  /// not requested batched or a Buffers[i] is not 64-byte aligned; a
+  /// refused call runs nothing.
   Status callBatch(int Count, double *const *Buffers) const;
 
 private:

@@ -19,6 +19,7 @@
 
 #include "slingen/client.h"
 
+#include "isa/ISA.h"
 #include "net/Client.h"
 #include "net/Protocol.h"
 #include "service/KernelCache.h"
@@ -51,6 +52,11 @@ struct KernelState {
   std::shared_ptr<const runtime::JitKernel> K;
   /// Keeps a local artifact (and the JitKernel it owns) alive.
   service::ArtifactPtr LocalArtifact;
+  /// Resolved once by the factory: the target ISA (null when IsaName, which
+  /// can be wire-supplied, is unknown to this build) and whether the object
+  /// may run here (loaded, and hostCanRun(Isa)).
+  const VectorISA *Isa = nullptr;
+  bool Runnable = false;
 };
 
 /// Internal construction of public Kernel handles.

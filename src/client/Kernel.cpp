@@ -67,15 +67,7 @@ const TimingBreakdown *Kernel::timing() const {
 
 bool Kernel::callable() const { return S && S->K != nullptr; }
 
-bool Kernel::hostRunnable() const {
-  if (!S)
-    return false;
-  // IsaName can be wire-supplied (a newer daemon may speak ISAs this build
-  // does not know), so the null-returning lookup: unknown means "cannot
-  // prove it runs here", never "assume scalar".
-  const VectorISA *Isa = isaByNameOrNull(S->IsaName.c_str());
-  return Isa && Isa->Nu <= hostIsa().Nu;
-}
+bool Kernel::hostRunnable() const { return S && hostCanRun(S->Isa); }
 
 //===----------------------------------------------------------------------===//
 // Dispatch
@@ -83,45 +75,49 @@ bool Kernel::hostRunnable() const {
 
 namespace {
 
-/// Shared call/callBatch gate; on success \p Isa holds the (known,
-/// host-runnable) target ISA.
-Status dispatchPrecheck(const std::shared_ptr<const KernelState> &S,
-                        const VectorISA *&Isa) {
+/// Every refused dispatch, kept out of line so that call() and callBatch()
+/// are one branch on the factory-resolved state plus the entry call.
+/// \p BatchBuffers is callBatch()'s argument, null for call().
+[[gnu::noinline]] Status
+dispatchFailure(const KernelState *S, double *const *BatchBuffers) {
   if (!S)
     return Status::failure(Code::InvalidRequest, "empty kernel handle");
   if (!S->K)
     return Status::failure(Code::NoCompiler,
                            "kernel " + S->FuncName +
                                " is source-only (no compiled object)");
-  Isa = isaByNameOrNull(S->IsaName.c_str());
-  if (!Isa || Isa->Nu > hostIsa().Nu)
+  if (!S->Runnable)
     return Status::failure(Code::NotRunnable,
                            "kernel targets " + S->IsaName +
                                ", which this host cannot run");
-  return Status::success();
+  if (!S->Batched || !S->K->hasBatchEntry())
+    return Status::failure(Code::InvalidRequest,
+                           "kernel " + S->FuncName +
+                               " was not requested batched");
+  return Status::failure(Code::InvalidRequest,
+                         runtime::JitKernel::misalignedBatchMessage(
+                             S->K->misalignedBatchParam(BatchBuffers)));
 }
 
 } // namespace
 
 Status Kernel::call(double *const *Buffers) const {
-  const VectorISA *Isa = nullptr;
-  if (Status St = dispatchPrecheck(S, Isa); !St)
-    return St;
-  S->K->call(Buffers);
-  return Status::success();
+  if (S && S->Runnable) [[likely]] {
+    S->K->call(Buffers);
+    return Status::success();
+  }
+  return dispatchFailure(S.get(), nullptr);
 }
 
 Status Kernel::callBatch(int Count, double *const *Buffers) const {
-  const VectorISA *Isa = nullptr;
-  if (Status St = dispatchPrecheck(S, Isa); !St)
-    return St;
-  if (!S->Batched || !S->K->hasBatchEntry())
-    return Status::failure(Code::InvalidRequest,
-                           "kernel " + S->FuncName +
-                               " was not requested batched");
+  // Caller-supplied batch bases are checked, not asserted: a misaligned
+  // one would be UB inside the aligned-move kernels.
+  if (!S || !S->Runnable || !S->Batched || !S->K->hasBatchEntry() ||
+      S->K->misalignedBatchParam(Buffers) >= 0) [[unlikely]]
+    return dispatchFailure(S.get(), Buffers);
   // Same dispatch ladder as the service: the artifact's width drives the
   // batch thread pool, which degrades to a plain batch call at width 1.
-  runtime::callBatchParallel(*S->K, Count, Buffers, Isa->Nu,
+  runtime::callBatchParallel(*S->K, Count, Buffers, S->Isa->Nu,
                              S->BatchThreads);
   return Status::success();
 }
@@ -131,6 +127,13 @@ Status Kernel::callBatch(int Count, double *const *Buffers) const {
 //===----------------------------------------------------------------------===//
 
 namespace {
+
+/// Resolves the state call()/callBatch() read, once per handle. An ISA
+/// name this build does not know means "cannot prove it runs here".
+void resolveDispatch(KernelState &St) {
+  St.Isa = isaByNameOrNull(St.IsaName.c_str());
+  St.Runnable = St.K && hostCanRun(St.Isa);
+}
 
 /// service::RequestTiming -> the public shape, with the client-measured
 /// round trip joined on.
@@ -190,6 +193,7 @@ Result<Kernel> KernelFactory::fromArtifact(const service::ArtifactPtr &A,
                                  "loaded kernel is needed");
     St->SoBytes = std::move(Bytes);
   }
+  resolveDispatch(*St);
   Kernel K;
   K.S = std::move(St);
   return K;
@@ -232,6 +236,7 @@ Result<Kernel> KernelFactory::fromMessage(net::ArtifactMsg Msg,
                              "shipped object failed to load: " + Err);
     St->K = std::make_shared<runtime::JitKernel>(std::move(*K));
   }
+  resolveDispatch(*St);
   Kernel K;
   K.S = std::move(St);
   return K;

@@ -6,7 +6,6 @@
 
 #include "isa/ISA.h"
 
-#include <cassert>
 #include <cstring>
 
 using namespace slingen;
@@ -21,7 +20,7 @@ const VectorISA &slingen::sse2Isa() { return Sse2; }
 const VectorISA &slingen::avxIsa() { return Avx; }
 const VectorISA &slingen::avx512Isa() { return Avx512; }
 
-const VectorISA &slingen::hostIsa() {
+static const VectorISA &probeHostIsa() {
 #if defined(__x86_64__) || defined(__i386__)
   if (__builtin_cpu_supports("avx512f"))
     return Avx512;
@@ -33,20 +32,19 @@ const VectorISA &slingen::hostIsa() {
   return Scalar;
 }
 
-const VectorISA *slingen::isaByNameOrNull(const char *Name) {
-  if (std::strcmp(Name, "scalar") == 0)
-    return &Scalar;
-  if (std::strcmp(Name, "sse2") == 0)
-    return &Sse2;
-  if (std::strcmp(Name, "avx") == 0)
-    return &Avx;
-  if (std::strcmp(Name, "avx512") == 0)
-    return &Avx512;
-  return nullptr;
+const VectorISA &slingen::hostIsa() {
+  static const VectorISA &Host = probeHostIsa();
+  return Host;
 }
 
-const VectorISA &slingen::isaByName(const char *Name) {
-  const VectorISA *Isa = isaByNameOrNull(Name);
-  assert(Isa && "unknown ISA name");
-  return Isa ? *Isa : Scalar;
+bool slingen::hostCanRun(const VectorISA *Isa) {
+  return Isa && Isa->Nu <= hostIsa().Nu;
+}
+
+const VectorISA *slingen::isaByNameOrNull(const char *Name) {
+  static const VectorISA *const All[] = {&Scalar, &Sse2, &Avx, &Avx512};
+  for (const VectorISA *Isa : All)
+    if (std::strcmp(Name, Isa->Name) == 0)
+      return Isa;
+  return nullptr;
 }

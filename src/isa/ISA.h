@@ -31,14 +31,16 @@ const VectorISA &avxIsa();
 const VectorISA &avx512Isa();
 
 /// Best ISA supported by the host CPU (for running generated code here).
+/// Probed once per process.
 const VectorISA &hostIsa();
 
-/// ISA by name ("scalar", "sse2", "avx", "avx512"); asserts on unknown
-/// names.
-const VectorISA &isaByName(const char *Name);
+/// True when \p Isa is known (non-null) and no wider than hostIsa(): code
+/// generated for it can execute here.
+bool hostCanRun(const VectorISA *Isa);
 
-/// As isaByName but returns nullptr on unknown names -- for validating
-/// untrusted input (command-line flags, wire requests).
+/// ISA by name ("scalar", "sse2", "avx", "avx512"); nullptr for a name
+/// this build does not know. Names arrive as untrusted input (command-line
+/// flags, wire messages, disk metadata), so every decoder goes through it.
 const VectorISA *isaByNameOrNull(const char *Name);
 
 } // namespace slingen

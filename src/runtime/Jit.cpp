@@ -540,6 +540,12 @@ void runtime::compileAll(std::vector<CompileJob> &Jobs) {
     }
 }
 
+std::string JitKernel::misalignedBatchMessage(int Param) {
+  return formatf("batch base pointer %d is not 64-byte aligned (use "
+                 "support/AlignedBuffer.h for batch storage)",
+                 Param);
+}
+
 std::string runtime::isaCompileFlags(const VectorISA &Isa) {
   if (std::strcmp(Isa.Name, "sse2") == 0)
     return "-msse2";

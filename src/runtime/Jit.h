@@ -149,16 +149,19 @@ public:
 
   /// The checked form of the 64-byte base-pointer contract: index of the
   /// first batch base pointer that is not 64-byte aligned, or -1 when all
-  /// conform. The service path runs this on caller-supplied buffers and
-  /// refuses misaligned ones as InvalidRequest instead of letting the
-  /// aligned-move kernels fault (the debug assert below only guards
-  /// in-process callers of callBatch/callBatchSpan).
+  /// conform. The service and the client facade refuse misaligned
+  /// caller-supplied buffers as InvalidRequest (misalignedBatchMessage())
+  /// instead of letting the aligned-move kernels fault (the debug assert
+  /// below only guards in-process callers of callBatch/callBatchSpan).
   int misalignedBatchParam(double *const *Buffers) const {
     for (int I = 0; I < NumParams; ++I)
       if (reinterpret_cast<uintptr_t>(Buffers[I]) % 64 != 0)
         return I;
     return -1;
   }
+
+  /// The refusal for misalignedBatchParam() == \p Param.
+  static std::string misalignedBatchMessage(int Param);
 
 private:
   /// Debug-only 64-byte alignment check on every batch base pointer

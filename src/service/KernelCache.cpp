@@ -30,10 +30,6 @@ using namespace slingen::service;
 
 namespace fs = std::filesystem;
 
-bool KernelArtifact::hostRunnable() const {
-  return isaByName(IsaName.c_str()).Nu <= hostIsa().Nu;
-}
-
 KernelCache::KernelCache(size_t Capacity, std::string DiskDir)
     : Cap(Capacity == 0 ? 1 : Capacity), Dir(std::move(DiskDir)) {
   if (!Dir.empty()) {
@@ -155,6 +151,7 @@ ArtifactPtr KernelCache::loadFromDisk(const std::string &Key,
   A->Key = Key;
   A->FuncName = KV["func"];
   A->IsaName = KV["isa"];
+  const bool IsaOk = isaByNameOrNull(A->IsaName.c_str()) != nullptr;
   A->NumParams = atoi(KV["params"].c_str());
   A->Batched = KV["batched"] == "1";
   // Absent on pre-strategy entries and non-batched artifacts: ScalarLoop,
@@ -184,9 +181,7 @@ ArtifactPtr KernelCache::loadFromDisk(const std::string &Key,
   // Every store records `c-hash`; a meta without it is not one this cache
   // wrote, so nothing it describes is trusted.
   if (!StrategyOk || A->FuncName.empty() || A->NumParams <= 0 ||
-      KV["c-hash"].empty() ||
-      (A->IsaName != "scalar" && A->IsaName != "sse2" &&
-       A->IsaName != "avx" && A->IsaName != "avx512")) {
+      KV["c-hash"].empty() || !IsaOk) {
     Err = "corrupt meta for " + Key;
     return nullptr;
   }

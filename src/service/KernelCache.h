@@ -90,13 +90,10 @@ struct KernelArtifact {
 
   bool isCallable() const { return Kernel != nullptr; }
 
-  /// True when this host can execute the target ISA. A callable artifact
-  /// for a wider ISA is still served (shared caches are built on machines
-  /// wider than the fleet) but invoking it here would fault -- check this
-  /// before call()/callBatch() whenever the request ISA is not hostIsa().
-  bool hostRunnable() const;
-
-  /// Single-instance dispatch (requires isCallable() && hostRunnable()).
+  /// Single-instance dispatch. Requires isCallable() and a target ISA this
+  /// host can run (hostCanRun): a callable artifact for a wider ISA is
+  /// still served, since shared caches are built on machines wider than
+  /// the fleet, but invoking it here would fault.
   void call(double *const *Buffers) const {
     assert(Kernel && "call() on a source-only artifact");
     Kernel->call(Buffers);

@@ -13,7 +13,6 @@
 #include "runtime/BatchPool.h"
 #include "service/Tuner.h"
 #include "support/FaultInject.h"
-#include "support/Format.h"
 #include "support/Hash.h"
 #include "support/KeyValue.h"
 
@@ -515,7 +514,8 @@ GetResult KernelService::dispatchBatch(const std::string &LaSource,
     return {nullptr, "batched kernel is source-only (no compiler available)",
             Errc::NoCompiler};
   }
-  if (!R->hostRunnable()) {
+  const VectorISA *Isa = isaByNameOrNull(R->IsaName.c_str());
+  if (!hostCanRun(Isa)) {
     ++Errors;
     return {nullptr,
             "kernel targets " + R->IsaName + ", which this host cannot run",
@@ -527,10 +527,7 @@ GetResult KernelService::dispatchBatch(const std::string &LaSource,
   // aligned-move kernels.
   if (int P = R->Kernel->misalignedBatchParam(Buffers); P >= 0) {
     ++Errors;
-    return {nullptr,
-            formatf("batch base pointer %d is not 64-byte aligned (use "
-                    "support/AlignedBuffer.h for batch storage)",
-                    P),
+    return {nullptr, runtime::JitKernel::misalignedBatchMessage(P),
             Errc::InvalidRequest};
   }
   // Dispatch width: per-request pin, else service pin, else the artifact's
@@ -541,8 +538,7 @@ GetResult KernelService::dispatchBatch(const std::string &LaSource,
   obs::ScopedSpan Dispatch(
       "batch-dispatch", "service",
       &obs::Registry::global().histogram("service.batch-dispatch.us"));
-  runtime::callBatchParallel(*R->Kernel, Count, Buffers,
-                             isaByName(R->IsaName.c_str()).Nu, Threads);
+  runtime::callBatchParallel(*R->Kernel, Count, Buffers, Isa->Nu, Threads);
   return R;
 }
 

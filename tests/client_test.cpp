@@ -12,6 +12,7 @@
 
 #include "slingen/client.h"
 
+#include "client/ClientImpl.h"
 #include "isa/ISA.h"
 #include "la/Lower.h"
 #include "la/Programs.h"
@@ -677,6 +678,216 @@ TEST(ClientIdentity, BatchedKernelDispatchesThroughFacade) {
     ASSERT_TRUE(K->call(Bufs));
   }
   EXPECT_EQ(maxAbsDiff(XBatch, XSingle), 0.0);
+}
+
+//===----------------------------------------------------------------------===//
+// Typed dispatch failures and the handle's resolved dispatch state
+//===----------------------------------------------------------------------===//
+
+/// A batched potrf request at \p Isa ("loop": one instance per iteration,
+/// so every ISA's batch entry is a plain loop over the single kernel).
+sl::Result<sl::Request> batchedPotrf(const std::string &Func, const char *Isa,
+                                     int N) {
+  return sl::RequestBuilder()
+      .source(la::potrfSource(N))
+      .name(Func)
+      .isa(Isa)
+      .batched()
+      .strategy("loop")
+      .build();
+}
+
+/// The wire message a daemon would send for \p K, with its ISA renamed.
+net::ArtifactMsg messageFor(const sl::Kernel &K, const std::string &Isa) {
+  net::ArtifactMsg M;
+  M.Key = K.key();
+  M.FuncName = K.functionName();
+  M.IsaName = Isa;
+  M.NumParams = K.numParams();
+  M.Batched = K.batched();
+  M.StrategyName = K.strategy();
+  M.BatchThreads = K.batchThreads();
+  M.CSource = K.cSource();
+  M.SoBytes = K.objectBytes();
+  return M;
+}
+
+TEST(ClientDispatch, EmptyHandleIsInvalidRequest) {
+  sl::Kernel K;
+  EXPECT_FALSE(K.callable());
+  EXPECT_FALSE(K.hostRunnable());
+  double X = 0.0;
+  double *Bufs[1] = {&X};
+  for (const sl::Status &St : {K.call(Bufs), K.callBatch(1, Bufs)}) {
+    EXPECT_EQ(St.code(), sl::Code::InvalidRequest);
+    EXPECT_EQ(St.message(), "empty kernel handle");
+  }
+}
+
+TEST(ClientDispatch, SourceOnlyHandleIsNoCompiler) {
+  auto S = sl::Session::open("local:", noCompiler());
+  ASSERT_TRUE(S) << S.message();
+  auto K = S->get(*potrfRequest("cl_srconly"));
+  ASSERT_TRUE(K) << K.message();
+  EXPECT_FALSE(K->callable());
+  double X = 0.0;
+  double *Bufs[2] = {&X, &X};
+  for (const sl::Status &St : {K->call(Bufs), K->callBatch(1, Bufs)}) {
+    EXPECT_EQ(St.code(), sl::Code::NoCompiler);
+    EXPECT_EQ(St.message(),
+              "kernel cl_srconly is source-only (no compiled object)");
+  }
+}
+
+TEST(ClientDispatch, UnknownWireIsaIsNotRunnable) {
+  if (!runtime::haveSystemCompiler())
+    GTEST_SKIP() << "no system C compiler";
+  const int N = 4;
+  auto S = sl::Session::open("local:");
+  ASSERT_TRUE(S) << S.message();
+  auto Served = S->get(*batchedPotrf("cl_neon", hostIsa().Name, N));
+  ASSERT_TRUE(Served) << Served.message();
+  ASSERT_FALSE(Served->objectBytes().empty());
+
+  // A newer daemon may name an ISA this build does not know. The shipped
+  // object is real and loads, but nothing proves it runs here.
+  auto K = client::detail::KernelFactory::fromMessage(
+      messageFor(*Served, "neon"), 0);
+  ASSERT_TRUE(K) << K.message();
+  EXPECT_EQ(K->origin(), sl::Kernel::Origin::Remote);
+  EXPECT_EQ(K->isa(), "neon");
+  EXPECT_TRUE(K->callable());
+  EXPECT_FALSE(K->hostRunnable());
+
+  Rng Rand(5);
+  AlignedBuffer A(N * N), X(N * N);
+  std::vector<double> In = spd(N, Rand);
+  std::copy(In.begin(), In.end(), A.begin());
+  std::fill(X.begin(), X.end(), -7.0);
+  double *Bufs[2] = {A.data(), X.data()};
+  for (bool Batch : {false, true}) {
+    sl::Status St = Batch ? K->callBatch(1, Bufs) : K->call(Bufs);
+    ASSERT_EQ(St.code(), sl::Code::NotRunnable) << St.str();
+    EXPECT_EQ(St.message(), "kernel targets neon, which this host cannot run");
+    for (double V : X)
+      ASSERT_EQ(V, -7.0) << "a refused dispatch ran the kernel";
+  }
+
+  // Control: the same message under its real ISA name dispatches.
+  auto Real = client::detail::KernelFactory::fromMessage(
+      messageFor(*Served, hostIsa().Name), 0);
+  ASSERT_TRUE(Real) << Real.message();
+  EXPECT_TRUE(Real->hostRunnable());
+  EXPECT_TRUE(Real->call(Bufs));
+  EXPECT_NE(X[0], -7.0);
+}
+
+TEST(ClientDispatch, MisalignedBatchBufferIsRefusedLocallyAndRemotely) {
+  if (!runtime::haveSystemCompiler())
+    GTEST_SKIP() << "no system C compiler";
+  const int N = 4, Count = 3;
+  auto R = batchedPotrf("cl_misalign", hostIsa().Name, N);
+  ASSERT_TRUE(R) << R.message();
+  auto LS = sl::Session::open("local:");
+  ASSERT_TRUE(LS) << LS.message();
+  TestDaemon D;
+  ASSERT_TRUE(D.Ok);
+  auto RS = sl::Session::open(D.Srv->unixPath());
+  ASSERT_TRUE(RS) << RS.message();
+
+  const size_t Len = static_cast<size_t>(Count) * N * N;
+  Rng Rand(11);
+  for (sl::Session *S : {&*LS, &*RS}) {
+    auto K = S->get(*R);
+    ASSERT_TRUE(K) << K.message();
+    ASSERT_TRUE(K->hostRunnable());
+    // One spare double per buffer, so base + 1 is an in-bounds but
+    // misaligned batch.
+    AlignedBuffer A(Len + 1), X(Len + 1);
+    for (int B = 0; B < Count; ++B) {
+      std::vector<double> In = spd(N, Rand);
+      std::copy(In.begin(), In.end(), A.begin() + B * N * N);
+    }
+    std::fill(X.begin(), X.end(), -7.0);
+    for (int P = 0; P < 2; ++P) {
+      double *Bufs[2] = {A.data() + (P == 0), X.data() + (P == 1)};
+      sl::Status St = K->callBatch(Count, Bufs);
+      EXPECT_EQ(St.code(), sl::Code::InvalidRequest) << St.str();
+      EXPECT_EQ(St.message(),
+                runtime::JitKernel::misalignedBatchMessage(P));
+      EXPECT_NE(St.message().find("not 64-byte aligned"), std::string::npos);
+      for (double V : X)
+        ASSERT_EQ(V, -7.0) << "a refused batch ran the kernel";
+    }
+    // Control: the aligned batch dispatches.
+    double *Bufs[2] = {A.data(), X.data()};
+    EXPECT_TRUE(K->callBatch(Count, Bufs));
+    EXPECT_NE(X[0], -7.0);
+  }
+}
+
+TEST(ClientDispatch, ResolvedStateIsSharedByCopiesAndMatchesTheEntry) {
+  if (!runtime::haveSystemCompiler())
+    GTEST_SKIP() << "no system C compiler";
+  const int N = 4;
+  auto S = sl::Session::open("local:");
+  ASSERT_TRUE(S) << S.message();
+  int Ran = 0;
+  for (const VectorISA *Isa :
+       {&scalarIsa(), &sse2Isa(), &avxIsa(), &avx512Isa()}) {
+    SCOPED_TRACE(Isa->Name);
+    auto K = S->get(*batchedPotrf(std::string("cl_res_") + Isa->Name,
+                                  Isa->Name, N));
+    ASSERT_TRUE(K) << K.message();
+    const sl::Kernel Copy = *K, CopyOfCopy = Copy;
+    for (const sl::Kernel *C : {&Copy, &CopyOfCopy}) {
+      EXPECT_EQ(C->callable(), K->callable());
+      EXPECT_EQ(C->hostRunnable(), K->hostRunnable());
+      EXPECT_EQ(C->isa(), K->isa());
+    }
+    EXPECT_EQ(K->isa(), Isa->Name);
+    EXPECT_EQ(K->hostRunnable(), hostCanRun(Isa));
+    if (!K->hostRunnable())
+      continue;
+    ++Ran;
+
+    // The loaded object's own entries are the reference.
+    std::string Err;
+    auto J = runtime::JitKernel::loadFromBytes(
+        K->objectBytes(), K->functionName(), K->numParams(), Err,
+        /*WithBatchEntry=*/true);
+    ASSERT_TRUE(J) << Err;
+
+    const int Count = 2 * Isa->Nu + 3;
+    const size_t Len = static_cast<size_t>(Count) * N * N;
+    Rng Rand(31);
+    AlignedBuffer A(Len), XK(Len), XJ(Len);
+    for (int B = 0; B < Count; ++B) {
+      std::vector<double> In = spd(N, Rand);
+      std::copy(In.begin(), In.end(), A.begin() + B * N * N);
+    }
+    auto Same = [&] {
+      return std::memcmp(XK.data(), XJ.data(), Len * sizeof(double)) == 0;
+    };
+    // call, callBatch and call again, back to back through the copies.
+    double *KB[2] = {A.data(), XK.data()}, *JB[2] = {A.data(), XJ.data()};
+    ASSERT_TRUE(Copy.call(KB));
+    J->call(JB);
+    EXPECT_TRUE(Same()) << "call";
+    ASSERT_TRUE(CopyOfCopy.callBatch(Count, KB));
+    J->callBatch(Count, JB);
+    EXPECT_TRUE(Same()) << "callBatch";
+    double *KL[2] = {A.data() + (Count - 1) * N * N,
+                     XK.data() + (Count - 1) * N * N};
+    double *JL[2] = {A.data() + (Count - 1) * N * N,
+                     XJ.data() + (Count - 1) * N * N};
+    std::fill(XK.begin(), XK.end(), 0.0);
+    std::fill(XJ.begin(), XJ.end(), 0.0);
+    ASSERT_TRUE(K->call(KL));
+    J->call(JL);
+    EXPECT_TRUE(Same()) << "call after callBatch";
+  }
+  EXPECT_GE(Ran, 1) << "the host runs no ISA";
 }
 
 //===----------------------------------------------------------------------===//

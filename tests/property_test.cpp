@@ -195,7 +195,7 @@ TEST_P(RandomPrograms, AllIsasAgree) {
   auto Want = referenceRun(P, Seed);
   for (const char *Isa : {"scalar", "sse2", "avx", "avx512"}) {
     GenOptions O;
-    O.Isa = &isaByName(Isa);
+    O.Isa = isaByNameOrNull(Isa);
     checkGenerated(P.clone(), O, Seed, Want, Isa);
   }
 }
@@ -284,10 +284,11 @@ TEST(Isa, DescriptorsAreConsistent) {
   EXPECT_EQ(sse2Isa().Nu, 2);
   EXPECT_EQ(avxIsa().Nu, 4);
   EXPECT_EQ(avx512Isa().Nu, 8);
-  EXPECT_STREQ(isaByName("avx512").Name, avx512Isa().Name);
-  EXPECT_STREQ(isaByName("avx").Name, avxIsa().Name);
-  EXPECT_STREQ(isaByName("sse2").Name, sse2Isa().Name);
-  EXPECT_STREQ(isaByName("scalar").Name, scalarIsa().Name);
+  EXPECT_STREQ(isaByNameOrNull("avx512")->Name, avx512Isa().Name);
+  EXPECT_STREQ(isaByNameOrNull("avx")->Name, avxIsa().Name);
+  EXPECT_STREQ(isaByNameOrNull("sse2")->Name, sse2Isa().Name);
+  EXPECT_STREQ(isaByNameOrNull("scalar")->Name, scalarIsa().Name);
+  EXPECT_EQ(isaByNameOrNull("neon"), nullptr);
 }
 
 TEST(Isa, HostIsaIsOneOfTheKnown) {
