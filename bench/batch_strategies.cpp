@@ -6,13 +6,18 @@
 //
 // Compares the batched codegen strategies (see slingen::BatchStrategy)
 // head to head -- the scalar loop ("loop") and the instance-parallel form
-// ("fused") -- on potrf across tiny sizes {4, 8, 16} and on the
-// gemm-flavored trsyl {4, 8}, for batch counts {32, 1024} plus the
-// remainder-heavy {33, 1025} (count % Nu == 1 for every supported Nu: the
+// ("fused") -- on potrf {4, 8, 16}, the gemm-flavored trsyl {4, 8} and
+// trlya 4, over batch counts from 32 to 16384, including the
+// remainder-heavy 33 and 1025 (count % Nu == 1 for every supported Nu: the
 // worst-case masked-tail path): the workload shape the paper's Sec. 5
-// "batched computations" sketch targets. On multicore hosts both variants
-// additionally get threaded rows ("-mt<k>") dispatched through the runtime
-// batch thread pool. A google-benchmark binary so `tools/bench_batch.sh`
+// "batched computations" sketch targets. On multicore hosts every variant
+// additionally gets two threaded rows at k = the affinity mask's CPU
+// count: "-pool<k>" always hands the batch to the runtime batch thread
+// pool (runtime::callBatchPooled), and "-mt<k>" dispatches as the library
+// does (runtime::callBatchParallel, which runs the batch on the caller
+// below runtime::PoolBreakEvenNs of projected work). The single-thread and
+// "-pool" rows are the sweep that sets PoolBreakEvenNs (README "Batch
+// multithreading"). A google-benchmark binary so `tools/bench_batch.sh`
 // can record BENCH_batch.json for the perf trajectory; the CPU count is
 // recorded in the JSON context so rows from different hosts are
 // comparable.
@@ -46,22 +51,44 @@ using namespace slingen;
 
 namespace {
 
-/// One compiled batched kernel plus its instance buffers, shared by every
-/// count-variant of the benchmark (registered lambdas copy the shared_ptr).
+/// One compiled batched kernel plus Distinct instances of its inputs,
+/// shared by every count-variant of the benchmark (registered lambdas copy
+/// the shared_ptr).
 struct BatchBench {
   runtime::JitKernel Kernel;
-  std::vector<AlignedBuffer> Store; ///< per-param, MaxCount instances
-  std::vector<double *> Bufs;
+  /// Per parameter: Distinct instances back to back; empty for outputs.
+  std::vector<std::vector<double>> Inputs;
+  std::vector<size_t> Sizes; ///< per parameter: doubles per instance
 
   BatchBench(runtime::JitKernel K) : Kernel(std::move(K)) {}
 };
 
-constexpr int MaxCount = 1025;
+constexpr int Distinct = 64;
+
+/// Count-instance batch storage, its inputs tiled from a BatchBench's.
+/// Built inside each benchmark run, so only one count's buffers are live
+/// at a time.
+struct Batch {
+  std::vector<AlignedBuffer> Store;
+  std::vector<double *> Bufs;
+
+  Batch(const BatchBench &B, int Count) {
+    for (size_t P = 0; P < B.Sizes.size(); ++P) {
+      const size_t Sz = B.Sizes[P];
+      auto &Buf = Store.emplace_back(Sz * Count);
+      if (!B.Inputs[P].empty())
+        for (int Inst = 0; Inst < Count; ++Inst)
+          std::copy_n(B.Inputs[P].data() + (Inst % Distinct) * Sz, Sz,
+                      Buf.data() + static_cast<size_t>(Inst) * Sz);
+      Bufs.push_back(Buf.data());
+    }
+  }
+};
 
 /// Structure-respecting inputs: SPD for positive-definite operands,
 /// well-conditioned triangular for triangular ones, general data for other
-/// inputs, zeros for outputs. Inputs are read-only for potrf/trsyl (X is
-/// the only written operand), so timed runs need no refill.
+/// inputs, nothing for outputs. Inputs are read-only for potrf, trsyl and
+/// trlya (X is the only written operand), so timed runs need no refill.
 std::shared_ptr<BatchBench> makeBench(const GenResult &R,
                                       const std::string &CSource,
                                       const std::string &IsaFlags) {
@@ -78,11 +105,12 @@ std::shared_ptr<BatchBench> makeBench(const GenResult &R,
   auto B = std::make_shared<BatchBench>(std::move(*K));
   for (const Operand *P : R.Func.Params) {
     size_t Sz = static_cast<size_t>(P->Rows) * P->Cols;
-    auto &Buf = B->Store.emplace_back(Sz * MaxCount);
+    B->Sizes.push_back(Sz);
+    auto &In = B->Inputs.emplace_back();
     if (P->IO == IOKind::Out)
       continue;
-    for (int Inst = 0; Inst < MaxCount; ++Inst) {
-      Rng Rand(100 + 131 * Inst + static_cast<int>(B->Store.size()));
+    for (int Inst = 0; Inst < Distinct; ++Inst) {
+      Rng Rand(100 + 131 * Inst + static_cast<int>(B->Inputs.size()));
       std::vector<double> Mat;
       if (P->PosDef)
         Mat = bench::randSpd(P->Rows, Rand);
@@ -92,12 +120,9 @@ std::shared_ptr<BatchBench> makeBench(const GenResult &R,
         Mat = bench::randUpperTri(P->Rows, Rand);
       else
         Mat = bench::randGeneral(P->Rows, P->Cols, Rand);
-      std::copy(Mat.begin(), Mat.end(),
-                Buf.data() + static_cast<size_t>(Inst) * Sz);
+      In.insert(In.end(), Mat.begin(), Mat.end());
     }
   }
-  for (auto &S : B->Store)
-    B->Bufs.push_back(S.data());
   return B;
 }
 
@@ -145,6 +170,7 @@ void registerKernel(const char *Label, const std::string &Source, int N) {
       {"fused", std::move(FusedSource)},
   };
   const int MT = batchThreads();
+  const int Nu = hostIsa().Nu;
   for (const auto &V : Variants) {
     if (V.Source.empty())
       continue;
@@ -152,31 +178,45 @@ void registerKernel(const char *Label, const std::string &Source, int N) {
     if (!B)
       continue;
     // 33 and 1025 are == 1 (mod 2, 4, and 8): every supported Nu pays the
-    // worst-case one-lane masked tail on top of the full-block loop.
-    for (int Count : {32, 33, 1024, 1025}) {
+    // worst-case one-lane masked tail on top of the full-block loop. The
+    // rest span the pool's break-even for the n = 4 and n = 8 kernels.
+    for (int Count : {32, 33, 128, 256, 512, 1024, 1025, 2048, 4096, 16384}) {
       std::string Base = std::string(Label) + "/n=" + std::to_string(N) +
                          "/count=" + std::to_string(Count) + "/";
       benchmark::RegisterBenchmark(
           (Base + V.Name).c_str(), [B, Count](benchmark::State &State) {
+            Batch X(*B, Count);
             for (auto _ : State) {
-              B->Kernel.callBatch(Count, B->Bufs.data());
+              B->Kernel.callBatch(Count, X.Bufs.data());
               benchmark::ClobberMemory();
             }
             State.SetItemsProcessed(State.iterations() * Count);
           });
-      if (MT > 1) {
-        const int Nu = hostIsa().Nu;
-        std::string Name = Base + V.Name + "-mt" + std::to_string(MT);
-        benchmark::RegisterBenchmark(
-            Name.c_str(), [B, Count, Nu, MT](benchmark::State &State) {
-              for (auto _ : State) {
-                runtime::callBatchParallel(B->Kernel, Count, B->Bufs.data(),
-                                           Nu, MT);
-                benchmark::ClobberMemory();
-              }
-              State.SetItemsProcessed(State.iterations() * Count);
-            });
-      }
+      if (MT < 2)
+        continue;
+      const std::string Width = std::to_string(MT);
+      benchmark::RegisterBenchmark(
+          (Base + V.Name + "-pool" + Width).c_str(),
+          [B, Count, Nu, MT](benchmark::State &State) {
+            Batch X(*B, Count);
+            for (auto _ : State) {
+              runtime::callBatchPooled(B->Kernel, 0, Count, X.Bufs.data(),
+                                       Nu, MT);
+              benchmark::ClobberMemory();
+            }
+            State.SetItemsProcessed(State.iterations() * Count);
+          });
+      benchmark::RegisterBenchmark(
+          (Base + V.Name + "-mt" + Width).c_str(),
+          [B, Count, Nu, MT](benchmark::State &State) {
+            Batch X(*B, Count);
+            for (auto _ : State) {
+              runtime::callBatchParallel(B->Kernel, Count, X.Bufs.data(),
+                                         Nu, MT);
+              benchmark::ClobberMemory();
+            }
+            State.SetItemsProcessed(State.iterations() * Count);
+          });
     }
   }
 }
@@ -202,6 +242,7 @@ int main(int argc, char **argv) {
       registerKernel("potrf", la::potrfSource(N), N);
     for (int N : {4, 8})
       registerKernel("trsyl", la::trsylSource(N), N);
+    registerKernel("trlya", la::trlyaSource(4), 4);
   }
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv))
@@ -212,6 +253,8 @@ int main(int argc, char **argv) {
                               std::to_string(batchThreads()));
   benchmark::AddCustomContext("pool_max_workers",
                               std::to_string(runtime::BatchPool::MaxPoolWorkers));
+  benchmark::AddCustomContext("pool_break_even_ns",
+                              std::to_string(runtime::PoolBreakEvenNs));
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   return 0;

@@ -264,7 +264,10 @@ public:
   /// batched().
   RequestBuilder &strategy(std::string Name);
   /// Batched dispatch width (0 = serving side's policy, which resolves an
-  /// auto policy to 1 thread; k >= 1 pins). Requires batched().
+  /// auto policy to 1 thread; k >= 1 pins). A pinned k means at most k
+  /// threads: a batch whose projected single-thread work is below the
+  /// pool's measured break-even (README "Batch multithreading") runs on
+  /// the calling thread alone. Requires batched().
   RequestBuilder &threads(int K);
   /// Rank variants by measured cycles instead of the static cost model
   /// (produce-time policy; an already-cached kernel is served as-is).
@@ -380,7 +383,8 @@ public:
   //===--- dispatch -------------------------------------------------------===//
 
   /// True when a loaded, executable object is attached (a kernel can be
-  /// source-only: no compiler on the serving side).
+  /// source-only: no compiler on the serving side; and a remote kernel's
+  /// object for an ISA this host cannot run is never loaded).
   bool callable() const;
   /// True when this host can execute the kernel's target ISA (false for
   /// an ISA name this build does not know).
@@ -388,14 +392,16 @@ public:
 
   /// Single-instance dispatch: Buffers[i] points at parameter i's
   /// row-major storage. Fails with InvalidRequest (empty handle),
-  /// NoCompiler (source-only) or NotRunnable (ISA unknown or wider than
-  /// the host). The handle's ISA and runnability are resolved when get()
-  /// returns it, so a successful call is one branch plus the entry call.
+  /// NotRunnable (ISA unknown or wider than the host) or NoCompiler
+  /// (source-only), in that order. The handle's ISA and runnability are
+  /// resolved when get() returns it, so a successful call is one branch
+  /// plus the entry call.
   Status call(double *const *Buffers) const;
 
   /// Batched dispatch over \p Count contiguous instances per parameter
-  /// (instance b of parameter i at Buffers[i] + b*Rows_i*Cols_i), spread
-  /// across batchThreads() workers when that width is more than one.
+  /// (instance b of parameter i at Buffers[i] + b*Rows_i*Cols_i), on at
+  /// most batchThreads() threads: a batch too small to pay for waking the
+  /// pool runs on the calling thread.
   /// Fails as call() does, and with InvalidRequest when the kernel was
   /// not requested batched or a Buffers[i] is not 64-byte aligned; a
   /// refused call runs nothing.

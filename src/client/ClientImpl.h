@@ -73,10 +73,11 @@ struct KernelFactory {
                                      const service::RequestTiming *Timing,
                                      long RoundTripUs);
   /// Wraps a wire artifact, staging and loading the shipped object bytes
-  /// when present and host-runnable. A shipped object that fails to load
-  /// is an error (ProtocolError), not a silent downgrade. The message's
-  /// TimingText (when present and well-formed) plus \p RoundTripUs become
-  /// Kernel::timing().
+  /// when present and host-runnable; the bytes of an object this host
+  /// cannot run stay unloaded (objectBytes() only). A shipped object that
+  /// fails to load is an error (ProtocolError), not a silent downgrade.
+  /// The message's TimingText (when present and well-formed) plus
+  /// \p RoundTripUs become Kernel::timing().
   static Result<Kernel> fromMessage(net::ArtifactMsg Msg, long RoundTripUs);
 };
 

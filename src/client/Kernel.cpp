@@ -82,14 +82,16 @@ namespace {
 dispatchFailure(const KernelState *S, double *const *BatchBuffers) {
   if (!S)
     return Status::failure(Code::InvalidRequest, "empty kernel handle");
+  // Checked before the object: a shipped object for an ISA this host
+  // cannot run is never loaded (see fromMessage).
+  if (!hostCanRun(S->Isa))
+    return Status::failure(Code::NotRunnable,
+                           "kernel targets " + S->IsaName +
+                               ", which this host cannot run");
   if (!S->K)
     return Status::failure(Code::NoCompiler,
                            "kernel " + S->FuncName +
                                " is source-only (no compiled object)");
-  if (!S->Runnable)
-    return Status::failure(Code::NotRunnable,
-                           "kernel targets " + S->IsaName +
-                               ", which this host cannot run");
   if (!S->Batched || !S->K->hasBatchEntry())
     return Status::failure(Code::InvalidRequest,
                            "kernel " + S->FuncName +
@@ -115,8 +117,8 @@ Status Kernel::callBatch(int Count, double *const *Buffers) const {
   if (!S || !S->Runnable || !S->Batched || !S->K->hasBatchEntry() ||
       S->K->misalignedBatchParam(Buffers) >= 0) [[unlikely]]
     return dispatchFailure(S.get(), Buffers);
-  // Same dispatch ladder as the service: the artifact's width drives the
-  // batch thread pool, which degrades to a plain batch call at width 1.
+  // Same dispatch ladder as the service: the artifact's width caps the
+  // threads, and a batch below the pool's break-even runs on the caller.
   runtime::callBatchParallel(*S->K, Count, Buffers, S->Isa->Nu,
                              S->BatchThreads);
   return Status::success();
@@ -226,7 +228,10 @@ Result<Kernel> KernelFactory::fromMessage(net::ArtifactMsg Msg,
   St->Measured = Msg.Measured;
   St->MeasuredCycles = Msg.MeasuredCycles;
   St->SoBytes = std::move(Msg.SoBytes);
-  if (!St->SoBytes.empty()) {
+  // An object this host cannot run is kept as bytes (objectBytes()) but
+  // neither staged nor loaded: every dispatch on it is refused anyway.
+  if (!St->SoBytes.empty() &&
+      hostCanRun(isaByNameOrNull(St->IsaName.c_str()))) {
     std::string Err;
     auto K = runtime::JitKernel::loadFromBytes(St->SoBytes, St->FuncName,
                                                St->NumParams, Err,

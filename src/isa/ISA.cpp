@@ -10,10 +10,14 @@
 
 using namespace slingen;
 
-static const VectorISA Scalar{"scalar", 1, false, false};
-static const VectorISA Sse2{"sse2", 2, false, false};
-static const VectorISA Avx{"avx", 4, true, true};
-static const VectorISA Avx512{"avx512", 8, true, true};
+// The avx emission uses AVX2 permutes. The avx512 emitter generates
+// AVX-512F intrinsics only, and hostIsa() gates execution on avx512f
+// alone: requesting DQ/VL could let kernels carry instructions the
+// runnability checks never verified.
+static const VectorISA Scalar{"scalar", 1, ""};
+static const VectorISA Sse2{"sse2", 2, "-msse2"};
+static const VectorISA Avx{"avx", 4, "-mavx -mavx2 -mfma"};
+static const VectorISA Avx512{"avx512", 8, "-mavx512f -mfma"};
 
 const VectorISA &slingen::scalarIsa() { return Scalar; }
 const VectorISA &slingen::sse2Isa() { return Sse2; }

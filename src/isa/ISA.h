@@ -20,9 +20,10 @@ namespace slingen {
 
 struct VectorISA {
   const char *Name;
-  int Nu;        ///< doubles per vector register
-  bool HasFma;   ///< fused multiply-add available
-  bool NeedAvx2; ///< generated shuffles require AVX2 permutes
+  int Nu; ///< doubles per vector register
+  /// Compiler flags enabling the instructions the emitted C for this ISA
+  /// uses (runtime::isaCompileFlags).
+  const char *CompileFlags;
 };
 
 const VectorISA &scalarIsa();

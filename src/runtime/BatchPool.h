@@ -91,14 +91,43 @@ private:
   int Spawned = 0;
 };
 
-/// Dispatches `<func>_batch` over \p Count instances with up to \p Threads
-/// threads: full blocks of \p BlockInstances (the kernel's vector width)
-/// are distributed across the pool through the kernel's `_batch_span`
-/// entry, and the instance remainder runs on the calling thread. Degrades
-/// to a plain callBatch when Threads <= 1 or the batch has fewer than two
-/// full blocks.
+/// Inline work, in ns, from which handing a batch's blocks to the pool
+/// pays for waking it. Set from the sweep in README "Batch
+/// multithreading" (potrf4, potrf8, trsyl4, trlya4 at counts 32 to 16384,
+/// 1 thread against 4 pool threads, three runs on a 4-vCPU AVX-512 Xeon):
+/// the pool lost every run up to 25 us and won every row in every run from
+/// 65 us (0.30-0.86x). In between it at best tied or saved up to 25%, and
+/// three of its five rows there read slower on it in one run, by up to
+/// 1.84x, so that band stays on the caller.
+constexpr int64_t PoolBreakEvenNs = 60000;
+
+/// callBatchParallel's one decision: whether \p Blocks full blocks that
+/// cost \p BlockNs each on the caller are worth running on the pool.
+constexpr bool poolPays(long Blocks, uint32_t BlockNs) {
+  return static_cast<int64_t>(Blocks) * BlockNs >= PoolBreakEvenNs;
+}
+
+/// Dispatches `<func>_batch` over \p Count instances on at most \p Threads
+/// threads. A batch with two or more full blocks of \p BlockInstances (the
+/// kernel's vector width) goes to the pool when Threads > 1 and
+/// poolPays() on the kernel's calibrated per-block cost; every other batch
+/// is one plain callBatch on the calling thread, as at Threads = 1. The
+/// per-block cost is the minimum over the first few threaded dispatches of
+/// the object, each of which times its first blocks on the caller; it is
+/// kept on the JitKernel, so every holder of the object shares it. Where a
+/// batch runs never changes its results.
 void callBatchParallel(const JitKernel &K, int Count, double *const *Buffers,
                        int BlockInstances, int Threads);
+
+/// The pool leg of callBatchParallel, without its decision: instances
+/// [Start, Count) of `<func>_batch`, whose full blocks of \p Block
+/// instances are spread over up to \p Threads threads through the
+/// kernel's `_batch_span` entry while the instance remainder runs on the
+/// calling thread. \p Start must be a multiple of \p Block. The sweep
+/// that sets PoolBreakEvenNs times it directly
+/// (bench/batch_strategies.cpp).
+void callBatchPooled(const JitKernel &K, int Start, int Count,
+                     double *const *Buffers, int Block, int Threads);
 
 } // namespace runtime
 } // namespace slingen

@@ -16,7 +16,6 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -272,7 +271,9 @@ void appendTrampolines(std::ostream &Out, const std::string &FuncName,
 JitKernel::JitKernel(JitKernel &&O) noexcept
     : Handle(O.Handle), Entry(O.Entry), BatchEntry(O.BatchEntry),
       BatchSpanEntry(O.BatchSpanEntry), NumParams(O.NumParams),
-      OwnsSo(O.OwnsSo), SoPath(std::move(O.SoPath)) {
+      OwnsSo(O.OwnsSo), SoPath(std::move(O.SoPath)),
+      BlockNs(O.BlockNs.load(std::memory_order_relaxed)),
+      BlockSamples(O.BlockSamples.load(std::memory_order_relaxed)) {
   O.Handle = nullptr;
   O.Entry = nullptr;
   O.BatchEntry = nullptr;
@@ -547,16 +548,7 @@ std::string JitKernel::misalignedBatchMessage(int Param) {
 }
 
 std::string runtime::isaCompileFlags(const VectorISA &Isa) {
-  if (std::strcmp(Isa.Name, "sse2") == 0)
-    return "-msse2";
-  if (std::strcmp(Isa.Name, "avx") == 0)
-    return Isa.NeedAvx2 ? "-mavx -mavx2 -mfma" : "-mavx -mfma";
-  // The emitter only generates AVX-512F intrinsics, and hostIsa() gates
-  // execution on avx512f alone -- do not request DQ/VL here or kernels
-  // could carry instructions the runnability checks never verified.
-  if (std::strcmp(Isa.Name, "avx512") == 0)
-    return "-mavx512f -mfma";
-  return ""; // scalar: no vector extensions required
+  return Isa.CompileFlags;
 }
 
 bool runtime::haveSystemCompiler() {

@@ -32,6 +32,7 @@
 #ifndef SLINGEN_RUNTIME_JIT_H
 #define SLINGEN_RUNTIME_JIT_H
 
+#include <atomic>
 #include <cassert>
 #include <cstdint>
 #include <memory>
@@ -164,6 +165,10 @@ public:
   static std::string misalignedBatchMessage(int Param);
 
 private:
+  friend void callBatchParallel(const JitKernel &K, int Count,
+                                double *const *Buffers, int BlockInstances,
+                                int Threads);
+
   /// Debug-only 64-byte alignment check on every batch base pointer
   /// (NDEBUG builds compile this away entirely).
   void assertBatchAlignment(double *const *Buffers) const {
@@ -188,6 +193,14 @@ private:
   int NumParams = 0;
   bool OwnsSo = true;
   std::string SoPath;
+  /// callBatchParallel's calibration (runtime/BatchPool.h), kept on the
+  /// object so that every holder of it -- the artifact, each client handle,
+  /// dispatchBatch -- shares one measurement: the least per-block time, in
+  /// ns, of the timed `_batch_span` calls (UINT32_MAX before the first),
+  /// and how many were timed. Relaxed: a stale read can move a batch
+  /// between the caller and the pool, never change its result.
+  mutable std::atomic<uint32_t> BlockNs{UINT32_MAX};
+  mutable std::atomic<int> BlockSamples{0};
 };
 
 /// One JitKernel::compile call of a batch (see compileAll): its arguments,
@@ -212,8 +225,9 @@ int affinityCpus();
 void compileAll(std::vector<CompileJob> &Jobs);
 
 /// Compiler flags enabling the instruction set the emitted C for \p Isa
-/// uses. Targeting is independent of the host: an avx512 kernel generated on
-/// a non-AVX-512 machine still compiles (it just cannot run here).
+/// uses (its VectorISA::CompileFlags). Targeting is independent of the
+/// host: an avx512 kernel generated on a non-AVX-512 machine still compiles
+/// (it just cannot run here).
 std::string isaCompileFlags(const VectorISA &Isa);
 
 /// True if a working system C compiler is available (used to skip the JIT

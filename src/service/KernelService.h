@@ -285,10 +285,11 @@ public:
   /// Batch dispatch (paper Sec. 5): obtains the batched kernel for
   /// \p LaSource and applies it to \p Count contiguous instances per
   /// parameter (instance b of parameter i at Buffers[i] + b*Rows_i*Cols_i).
-  /// Blocks are spread across the batch thread pool when the effective
-  /// dispatch width -- Req.Threads, else Config.BatchThreads, else the
-  /// artifact's recorded BatchThreads -- exceeds 1 (the instance remainder
-  /// runs on the calling thread; see runtime/BatchPool.h). Fails when no
+  /// Runs on at most the effective dispatch width of threads --
+  /// Req.Threads, else Config.BatchThreads, else the artifact's recorded
+  /// BatchThreads: blocks go to the batch thread pool only when that width
+  /// exceeds 1 and the batch's projected work reaches the pool's
+  /// break-even (see runtime/BatchPool.h callBatchParallel). Fails when no
   /// compiler is available or the kernel's ISA cannot run on this host.
   GetResult dispatchBatch(const std::string &LaSource,
                           const GenOptions &Options, int Count,

@@ -36,6 +36,7 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <thread>
 
 #include <stdlib.h>
 
@@ -557,10 +558,63 @@ TEST(BatchPool, BackToBackRunsOfMixedWidths) {
   }
 }
 
+// callBatchParallel's one decision, at its boundary: pool iff the
+// projected inline work reaches PoolBreakEvenNs. No timing involved.
+TEST(BatchPool, PoolPaysFromTheBreakEven) {
+  constexpr int64_t W = runtime::PoolBreakEvenNs;
+  static_assert(W > 2 && W < UINT32_MAX);
+  EXPECT_TRUE(runtime::poolPays(1, W));
+  EXPECT_FALSE(runtime::poolPays(1, W - 1));
+  EXPECT_TRUE(runtime::poolPays(W, 1));
+  EXPECT_FALSE(runtime::poolPays(W - 1, 1));
+  EXPECT_TRUE(runtime::poolPays(2, (W + 1) / 2));
+  EXPECT_FALSE(runtime::poolPays(2, (W - 1) / 2));
+  EXPECT_FALSE(runtime::poolPays(0, UINT32_MAX));
+  // The extremes do not overflow: an uncalibrated cost (UINT32_MAX) over
+  // the most blocks an int count can hold.
+  EXPECT_TRUE(runtime::poolPays(INT32_MAX, UINT32_MAX));
+}
+
+/// Compiles \p R's fused batched emission for \p Isa as \p Name.
+std::optional<runtime::JitKernel> compileFused(const GenResult &R,
+                                               const VectorISA &Isa,
+                                               const std::string &Name) {
+  GenOptions O;
+  O.Isa = &Isa;
+  O.FuncName = Name;
+  runtime::CompileOptions CO;
+  CO.ExtraFlags = runtime::isaCompileFlags(Isa);
+  CO.WithBatchEntry = true;
+  std::string Err;
+  auto K = runtime::JitKernel::compile(emitBatchedVectorFusedC(R, &O), Name,
+                                       static_cast<int>(R.Func.Params.size()),
+                                       CO, Err);
+  if (!K)
+    ADD_FAILURE() << Err;
+  return K;
+}
+
+/// Runs \p K over a copy of \p Init, through callBatchParallel when
+/// \p Threads > 1 and through a plain callBatch otherwise.
+std::vector<AlignedBuffer> runBatch(const runtime::JitKernel &K,
+                                    const std::vector<AlignedBuffer> &Init,
+                                    int Count, int Nu, int Threads) {
+  std::vector<AlignedBuffer> Store = Init;
+  std::vector<double *> Bufs;
+  for (auto &S : Store)
+    Bufs.push_back(S.data());
+  if (Threads <= 1)
+    K.callBatch(Count, Bufs.data());
+  else
+    runtime::callBatchParallel(K, Count, Bufs.data(), Nu, Threads);
+  return Store;
+}
+
 // Threaded dispatch must be a pure scheduling change: instances land in
 // disjoint buffer ranges, every instance runs the same code, so the result
 // is bit-identical to a single-threaded callBatch -- including the
-// count % Nu remainder, which runs on the calling thread.
+// count % Nu remainder, which runs on the calling thread -- whether the
+// batch runs on the caller or on the pool.
 TEST(Batched, ThreadedDispatchIsBitIdenticalToSingleThread) {
   if (!runtime::haveSystemCompiler())
     GTEST_SKIP() << "no system C compiler";
@@ -570,53 +624,86 @@ TEST(Batched, ThreadedDispatchIsBitIdenticalToSingleThread) {
   auto Gen = mustGenerate(la::potrfSource(8), Isa, "p8mt");
   ASSERT_TRUE(Gen);
   GenResult &R = *Gen;
-  GenOptions O;
-  O.Isa = &Isa;
-  O.FuncName = "p8mt";
-  std::string C = emitBatchedVectorFusedC(R, &O);
-  runtime::CompileOptions CO;
-  CO.ExtraFlags = runtime::isaCompileFlags(Isa);
-  CO.WithBatchEntry = true;
-  std::string Err;
-  auto K = runtime::JitKernel::compile(
-      C, "p8mt", static_cast<int>(R.Func.Params.size()), CO, Err);
-  ASSERT_TRUE(K) << Err; // a batched load requires the span entry
+  auto K = compileFused(R, Isa, "p8mt");
+  ASSERT_TRUE(K); // a batched load requires the span entry
 
-  const int Count = 9 * Isa.Nu + 3; // several blocks plus a remainder
-  std::vector<AlignedBuffer> Init = makeInstances(R.Func, Count, 6100);
-  auto RunWith = [&](int Threads) {
+  obs::Counter &PoolRuns =
+      obs::Registry::global().counter("batchpool.runs");
+  // Several blocks plus a remainder; then 2000 blocks of potrf8, over 10x
+  // PoolBreakEvenNs of inline work on an AVX-512 host (~330 ns a block;
+  // more on narrower ones or under a sanitizer), so that one must take
+  // the pool.
+  for (int Count : {9 * Isa.Nu + 3, 2000 * Isa.Nu + 3}) {
+    const bool Big = Count > 1000;
+    std::vector<AlignedBuffer> Init = makeInstances(R.Func, Count, 6100);
+    std::vector<AlignedBuffer> Single = runBatch(*K, Init, Count, Isa.Nu, 1);
+    // 4 threads even on narrower hosts: the pool oversubscribes, so chunks
+    // are claimed by several threads everywhere.
+    for (int Threads : {2, 4}) {
+      const int64_t RunsBefore = PoolRuns.value();
+      std::vector<AlignedBuffer> Threaded =
+          runBatch(*K, Init, Count, Isa.Nu, Threads);
+      for (size_t I = 0; I < Single.size(); ++I)
+        EXPECT_EQ(maxAbsDiff(Threaded[I], Single[I]), 0.0)
+            << "count=" << Count << " threads=" << Threads << ", param "
+            << R.Func.Params[I]->Name;
+      if (Big)
+        EXPECT_GT(PoolRuns.value(), RunsBefore)
+            << "count=" << Count << " threads=" << Threads
+            << " did not reach the pool";
+    }
+    if (Big)
+      continue;
+    // A direct span sanity check: running [0, Count) in two manual halves
+    // equals one call.
     std::vector<AlignedBuffer> Store = Init;
     std::vector<double *> Bufs;
     for (auto &S : Store)
       Bufs.push_back(S.data());
-    if (Threads <= 1)
-      K->callBatch(Count, Bufs.data());
-    else
-      runtime::callBatchParallel(*K, Count, Bufs.data(), Isa.Nu, Threads);
-    return Store;
-  };
-  std::vector<AlignedBuffer> Single = RunWith(1);
-  // 4 threads even on narrower hosts: the pool oversubscribes, so chunks
-  // are claimed by several threads everywhere.
-  for (int Threads : {2, 4}) {
-    std::vector<AlignedBuffer> Threaded = RunWith(Threads);
+    int Half = (Count / 2 / Isa.Nu) * Isa.Nu; // block-aligned split
+    K->callBatchSpan(0, Half, Bufs.data());
+    K->callBatchSpan(Half, Count - Half, Bufs.data());
     for (size_t I = 0; I < Single.size(); ++I)
-      EXPECT_EQ(maxAbsDiff(Threaded[I], Single[I]), 0.0)
-          << "threads=" << Threads << ", param "
-          << R.Func.Params[I]->Name;
+      EXPECT_EQ(maxAbsDiff(Store[I], Single[I]), 0.0)
+          << "span halves, param " << R.Func.Params[I]->Name;
   }
-  // A direct span sanity check: running [0, Count) in two manual halves
-  // equals one call.
-  std::vector<AlignedBuffer> Store = Init;
-  std::vector<double *> Bufs;
-  for (auto &S : Store)
-    Bufs.push_back(S.data());
-  int Half = (Count / 2 / Isa.Nu) * Isa.Nu; // block-aligned split
-  K->callBatchSpan(0, Half, Bufs.data());
-  K->callBatchSpan(Half, Count - Half, Bufs.data());
-  for (size_t I = 0; I < Single.size(); ++I)
-    EXPECT_EQ(maxAbsDiff(Store[I], Single[I]), 0.0)
-        << "span halves, param " << R.Func.Params[I]->Name;
+}
+
+// Several callers dispatch threaded batches on one fresh object while its
+// per-block cost is still being calibrated: they share the object's
+// running minimum (the thread sanitizer leg checks its atomics), and each
+// caller's results stay bit-identical to a single-threaded callBatch.
+TEST(Batched, ThreadedDispatchDuringCalibrationFromSeveralCallers) {
+  if (!runtime::haveSystemCompiler())
+    GTEST_SKIP() << "no system C compiler";
+  const VectorISA &Isa = hostIsa();
+  if (Isa.Nu < 2)
+    GTEST_SKIP() << "host has no vector ISA";
+  auto Gen = mustGenerate(la::potrfSource(4), Isa, "p4cal");
+  ASSERT_TRUE(Gen);
+  GenResult &R = *Gen;
+  auto K = compileFused(R, Isa, "p4cal");
+  ASSERT_TRUE(K);
+
+  const int Count = 40 * Isa.Nu + 3;
+  std::vector<AlignedBuffer> Init = makeInstances(R.Func, Count, 6300);
+  std::vector<AlignedBuffer> Single = runBatch(*K, Init, Count, Isa.Nu, 1);
+  constexpr int Callers = 4, Reps = 3;
+  std::vector<std::vector<std::vector<AlignedBuffer>>> Out(Callers);
+  std::vector<std::thread> Ts;
+  for (int C = 0; C < Callers; ++C)
+    Ts.emplace_back([&, C] {
+      for (int Rep = 0; Rep < Reps; ++Rep)
+        Out[C].push_back(runBatch(*K, Init, Count, Isa.Nu, 2 + C % 2));
+    });
+  for (std::thread &T : Ts)
+    T.join();
+  for (int C = 0; C < Callers; ++C)
+    for (int Rep = 0; Rep < Reps; ++Rep)
+      for (size_t I = 0; I < Single.size(); ++I)
+        EXPECT_EQ(maxAbsDiff(Out[C][Rep][I], Single[I]), 0.0)
+            << "caller " << C << " rep " << Rep << ", param "
+            << R.Func.Params[I]->Name;
 }
 
 //===----------------------------------------------------------------------===//

@@ -712,6 +712,22 @@ net::ArtifactMsg messageFor(const sl::Kernel &K, const std::string &Isa) {
   return M;
 }
 
+/// The shipped objects this process has staged under TMPDIR
+/// (JitKernel::loadFromBytes writes them as `slingen_<pid>_<n>.so`).
+std::set<std::string> stagedObjects() {
+  const char *Dir = getenv("TMPDIR");
+  const std::string Prefix = "slingen_" + std::to_string(getpid()) + "_";
+  std::set<std::string> Names;
+  std::error_code Ec;
+  for (const auto &E :
+       std::filesystem::directory_iterator(Dir ? Dir : "/tmp", Ec)) {
+    std::string Name = E.path().filename().string();
+    if (Name.starts_with(Prefix) && Name.ends_with(".so"))
+      Names.insert(Name);
+  }
+  return Names;
+}
+
 TEST(ClientDispatch, EmptyHandleIsInvalidRequest) {
   sl::Kernel K;
   EXPECT_FALSE(K.callable());
@@ -750,13 +766,17 @@ TEST(ClientDispatch, UnknownWireIsaIsNotRunnable) {
   ASSERT_FALSE(Served->objectBytes().empty());
 
   // A newer daemon may name an ISA this build does not know. The shipped
-  // object is real and loads, but nothing proves it runs here.
+  // object is real, but nothing proves it runs here, so it is kept as
+  // bytes and neither staged nor loaded.
+  const std::set<std::string> Staged = stagedObjects();
   auto K = client::detail::KernelFactory::fromMessage(
       messageFor(*Served, "neon"), 0);
   ASSERT_TRUE(K) << K.message();
+  EXPECT_EQ(stagedObjects(), Staged) << "an unrunnable object was staged";
   EXPECT_EQ(K->origin(), sl::Kernel::Origin::Remote);
   EXPECT_EQ(K->isa(), "neon");
-  EXPECT_TRUE(K->callable());
+  EXPECT_EQ(K->objectBytes(), Served->objectBytes());
+  EXPECT_FALSE(K->callable());
   EXPECT_FALSE(K->hostRunnable());
 
   Rng Rand(5);
@@ -773,10 +793,13 @@ TEST(ClientDispatch, UnknownWireIsaIsNotRunnable) {
       ASSERT_EQ(V, -7.0) << "a refused dispatch ran the kernel";
   }
 
-  // Control: the same message under its real ISA name dispatches.
+  // Control: the same message under its real ISA name is staged, loaded
+  // and dispatches.
   auto Real = client::detail::KernelFactory::fromMessage(
       messageFor(*Served, hostIsa().Name), 0);
   ASSERT_TRUE(Real) << Real.message();
+  EXPECT_EQ(stagedObjects().size(), Staged.size() + 1);
+  EXPECT_TRUE(Real->callable());
   EXPECT_TRUE(Real->hostRunnable());
   EXPECT_TRUE(Real->call(Bufs));
   EXPECT_NE(X[0], -7.0);

@@ -1,11 +1,12 @@
 #!/bin/sh
 # tools/bench_batch.sh - record the batch-strategy perf comparison.
 #
-# Runs bench/batch_strategies (loop vs fused on potrf {4,8,16} and
-# trsyl {4,8}, counts {32,1024} plus the remainder-heavy {33,1025} that
-# exercise the masked fused tail, plus threaded "-mt<k>" rows on multicore
-# hosts) and writes BENCH_batch.json at the repo root so the perf
-# trajectory has data across PRs. The CPU count lands in the JSON context.
+# Runs bench/batch_strategies (loop vs fused on potrf {4,8,16}, trsyl
+# {4,8} and trlya 4, counts 32 to 16384 including the remainder-heavy
+# {33,1025} that exercise the masked fused tail, plus threaded "-pool<k>"
+# and "-mt<k>" rows on multicore hosts) and writes BENCH_batch.json at the
+# repo root so the perf trajectory has data across PRs. The CPU count lands
+# in the JSON context.
 #
 #   bench_batch.sh [--smoke]
 #
@@ -25,8 +26,8 @@ EXTRA=""
 if [ "${1:-}" = "--smoke" ]; then
   # benchmark 1.7 takes bare seconds for --benchmark_min_time. The filter
   # keeps one size at counts 32 (full blocks) and 33 (masked tail) but
-  # every strategy variant -- including the threaded -mt rows on multicore
-  # hosts, so the pool dispatch path gets CI coverage.
+  # every strategy variant -- including the threaded -pool and -mt rows on
+  # multicore hosts, so the pool dispatch path gets CI coverage.
   EXTRA="--benchmark_filter=potrf/n=8/count=3[23]/ --benchmark_min_time=0.05"
 fi
 
