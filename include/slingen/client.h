@@ -60,7 +60,6 @@
 ///   ConnectFailed      the daemon could not be reached at all
 ///   TransportError     the connection died mid-request (reconnect failed)
 ///   ProtocolError      the peer sent frames this client cannot decode
-///   RemoteError        daemon-side failure with no finer class
 ///   Overloaded         the serving side shed the request; retry after
 ///                      backoff (the session's retry policy already did,
 ///                      so seeing this means the budget ran out)
@@ -124,7 +123,6 @@ enum class Code {
   ConnectFailed,
   TransportError,
   ProtocolError,
-  RemoteError,
   Overloaded,
   DeadlineExceeded,
   InternalError,
@@ -276,17 +274,14 @@ public:
   /// turn off to skip shipping/reading the .so when only the C matters).
   RequestBuilder &wantObject(bool On);
   /// Attach the serving side's per-phase timing breakdown to the Kernel
-  /// (Kernel::timing()). Costs one small extra field on remote responses;
-  /// a daemon too old to know the field serves the kernel without a
-  /// breakdown rather than failing.
+  /// (Kernel::timing()). Costs a few dozen bytes on remote responses,
+  /// plus the daemon's span list for the request.
   RequestBuilder &wantTiming(bool On = true);
   /// Bound each get() of this request to \p Ms milliseconds end to end
   /// (0 = no deadline). The budget is enforced client-side -- a stalled
   /// daemon fails the request with Code::DeadlineExceeded in bounded time
   /// -- and shipped to the daemon, which sheds work whose deadline already
-  /// expired instead of generating a kernel nobody is waiting for. A
-  /// daemon too old to know the field serves the request without
-  /// daemon-side shedding; the client-side bound still holds.
+  /// expired instead of generating a kernel nobody is waiting for.
   RequestBuilder &deadlineMs(int Ms);
 
   /// Validates and freezes the request.
@@ -374,10 +369,9 @@ public:
   /// for the same request whether served locally or by a daemon.
   const std::string &objectBytes() const;
   /// Phase breakdown of the get() that produced this handle, or null when
-  /// the request did not ask (wantTiming()) or the serving side predates
-  /// the field. A property of that one request, not of the kernel: a
-  /// second get() of the same source returns a fresh handle whose
-  /// breakdown reports the (faster) cache hit.
+  /// the request did not ask (wantTiming()). A property of that one
+  /// request, not of the kernel: a second get() of the same source returns
+  /// a fresh handle whose breakdown reports the (faster) cache hit.
   const TimingBreakdown *timing() const;
 
   //===--- dispatch -------------------------------------------------------===//
@@ -486,8 +480,7 @@ public:
   /// The serving side's full metrics scrape: every registry metric as
   /// globally sorted `key=value` lines (histograms expanded to
   /// count/sum/min/max/p50/p90/p99), plus -- against a daemon -- its
-  /// bounded per-kernel / per-peer top-K tables. Old daemons that predate
-  /// the METRICS verb answer InvalidRequest.
+  /// bounded per-kernel / per-peer top-K tables.
   Result<std::string> metrics();
 
   BackendKind backend() const;

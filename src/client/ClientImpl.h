@@ -76,8 +76,8 @@ struct KernelFactory {
   /// when present and host-runnable; the bytes of an object this host
   /// cannot run stay unloaded (objectBytes() only). A shipped object that
   /// fails to load is an error (ProtocolError), not a silent downgrade.
-  /// The message's TimingText (when present and well-formed) plus
-  /// \p RoundTripUs become Kernel::timing().
+  /// The message's Timing (when present) plus \p RoundTripUs become
+  /// Kernel::timing().
   static Result<Kernel> fromMessage(net::ArtifactMsg Msg, long RoundTripUs);
 };
 

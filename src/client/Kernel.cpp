@@ -205,14 +205,8 @@ Result<Kernel> KernelFactory::fromMessage(net::ArtifactMsg Msg,
                                           long RoundTripUs) {
   auto St = std::make_shared<KernelState>();
   St->Origin = Kernel::Origin::Remote;
-  if (!Msg.TimingText.empty()) {
-    // A breakdown the daemon attached but this build cannot parse is
-    // dropped, not fatal: timing() is diagnostics, the kernel is the
-    // payload.
-    service::RequestTiming TM;
-    if (service::deserializeRequestTiming(Msg.TimingText, TM))
-      St->Timing = toBreakdown(TM, RoundTripUs);
-  }
+  if (Msg.Timing)
+    St->Timing = toBreakdown(*Msg.Timing, RoundTripUs);
   St->Key = std::move(Msg.Key);
   St->FuncName = std::move(Msg.FuncName);
   St->IsaName = std::move(Msg.IsaName);

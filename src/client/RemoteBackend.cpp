@@ -102,11 +102,10 @@ public:
   Result<Kernel> get(const Request &R) override {
     net::ArtifactMsg Msg;
     net::Request W = toWireRequest(R);
-    // Every request gets a trace id + root span id: the daemon tags its
-    // spans and flight-recorder records with it, and (under WantTiming)
-    // ships its span list back so the exported trace merges both sides.
+    // Every request gets a trace id: the daemon tags its spans and
+    // flight-recorder records with it, and (under WantTiming) ships its
+    // span list back so the exported trace merges both sides.
     W.TraceId = obs::newTraceId();
-    W.SpanId = obs::newTraceId();
     // ... and the same id tags everything this thread records locally
     // (the client-roundtrip span) while the request runs.
     obs::ScopedTraceId TraceScope(W.TraceId);

@@ -51,8 +51,6 @@ const char *client::codeName(Code C) {
     return "transport-error";
   case Code::ProtocolError:
     return "protocol-error";
-  case Code::RemoteError:
-    return "remote-error";
   case Code::Overloaded:
     return "overloaded";
   case Code::DeadlineExceeded:
@@ -109,13 +107,10 @@ Status detail::mapClientError(const net::ClientError &E, bool Connected) {
   case net::ErrorCategory::Protocol:
     return Status::failure(Code::ProtocolError, E.Message);
   case net::ErrorCategory::Daemon:
-    // Errc::None cannot arrive from decodeErrorPayload (it rejects the
-    // "ok" token), but the belt-and-braces guard keeps a failed exchange
-    // from ever mapping to Code::Ok.
-    if (E.Code && *E.Code != service::Errc::None)
-      return Status::failure(mapServiceErrc(*E.Code), E.Message);
-    // An untagged daemon (pre-code build): the class is unknowable.
-    return Status::failure(Code::RemoteError, E.Message);
+    // decodeErrorPayload only accepts a real class (never "ok"), so a
+    // Daemon failure always carries one.
+    return Status::failure(
+        mapServiceErrc(E.Code.value_or(service::Errc::Internal)), E.Message);
   }
   return Status::failure(Code::InternalError, E.Message);
 }

@@ -207,8 +207,14 @@ bool Client::roundTrip(Verb V, const std::string &Payload, Verb ExpectReply,
   if (RS == ReadStatus::Error)
     return false; // torn frame / bad magic / socket error: the stream died
   if (F.verb() == Verb::Error) {
+    service::Errc Code;
+    if (!decodeErrorPayload(F.Payload, Code, Err.Message)) {
+      Err.Category = ErrorCategory::Protocol;
+      Err.Message = "untagged error reply: " + F.Payload;
+      return false;
+    }
     Err.Category = ErrorCategory::Daemon;
-    decodeErrorPayload(F.Payload, Err.Code, Err.Message);
+    Err.Code = Code;
     if (Err.Message.empty())
       Err.Message = "daemon reported an error";
     return false;

@@ -38,14 +38,15 @@ namespace net {
 /// entirely.
 enum class ErrorCategory {
   Transport, ///< connect/read/write failed or the daemon hung up
-  Protocol,  ///< the reply did not decode or carried an unexpected verb
+  Protocol,  ///< the reply (ERR included) did not decode, or carried an
+             ///< unexpected verb
   Daemon,    ///< the daemon answered ERR; Code carries its error class
 };
 
 /// A structured request failure: the category, the daemon's error class
-/// when it reported one (decoded from the ERR payload's errc token; unset
-/// for transport/protocol failures and for untagged pre-code daemons),
-/// and the human-readable message.
+/// (decoded from the ERR payload's errc token; set for every Daemon
+/// failure, unset for transport/protocol failures except a client-side
+/// deadline expiry), and the human-readable message.
 struct ClientError {
   ErrorCategory Category = ErrorCategory::Transport;
   std::optional<service::Errc> Code;
@@ -81,7 +82,7 @@ public:
   bool stats(std::string &Out, ClientError &Err);
 
   /// METRICS: the daemon's full metrics scrape (sorted registry text plus
-  /// top-K dimension tables). Old daemons answer ERR invalid-request.
+  /// top-K dimension tables).
   bool metrics(std::string &Out, ClientError &Err);
 
   /// Flattened-string conveniences (the message only; callers that branch

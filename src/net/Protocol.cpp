@@ -13,6 +13,18 @@
 using namespace slingen;
 using namespace slingen::net;
 
+namespace {
+
+/// RequestTiming's counters in wire order (they follow the tier string).
+constexpr long service::RequestTiming::*TimingCounters[] = {
+    &service::RequestTiming::CacheUs,   &service::RequestTiming::WaitUs,
+    &service::RequestTiming::DiskUs,    &service::RequestTiming::GenUs,
+    &service::RequestTiming::TuneUs,    &service::RequestTiming::CompileUs,
+    &service::RequestTiming::TotalUs,
+};
+
+} // namespace
+
 std::string net::encodeRequest(const Request &R) {
   ByteWriter W;
   W.str(R.LaSource);
@@ -23,74 +35,24 @@ std::string net::encodeRequest(const Request &R) {
   W.u8(R.MeasureOverride < 0 ? 0xff
                              : static_cast<uint8_t>(R.MeasureOverride));
   W.u8(R.WantSo ? 1 : 0);
-  // Trailing optional fields, written only when set: a default request is
-  // byte-identical to the pre-timing format (old daemons keep decoding
-  // every client that asks for nothing extra). A deadline always writes
-  // the want-timing byte first, even when 0, and a trace id always writes
-  // both earlier fields -- the decoder tells the three tails apart by
-  // what follows the byte (nothing / u32 / u32+u64+u64).
-  if (R.TraceId != 0) {
-    W.u8(R.WantTiming ? 1 : 0);
-    W.u32(R.DeadlineMs);
-    W.u64(R.TraceId);
-    W.u64(R.SpanId);
-  } else if (R.DeadlineMs > 0) {
-    W.u8(R.WantTiming ? 1 : 0);
-    W.u32(R.DeadlineMs);
-  } else if (R.WantTiming) {
-    W.u8(1);
-  }
+  W.u8(R.WantTiming ? 1 : 0);
+  W.u32(R.DeadlineMs);
+  W.u64(R.TraceId);
   return W.take();
 }
 
 bool net::decodeRequest(const std::string &Payload, Request &R,
                         std::string &Err) {
   ByteReader B(Payload);
-  uint8_t Batched, Measure, WantSo;
+  uint8_t Batched, Measure, WantSo, WantTiming;
   uint32_t Threads;
-  if (!B.str(R.LaSource) || !B.str(R.OptionsText) || !B.u8(Batched) ||
-      !B.str(R.StrategyName) || !B.u32(Threads) || !B.u8(Measure) ||
-      !B.u8(WantSo)) {
-    Err = "malformed request payload";
-    return false;
-  }
-  // Optional trailing fields: nothing (pre-timing client or no extras), a
-  // lone want-timing byte (must be 1 -- that form is only encoded when
-  // set), a want-timing byte (0 or 1) followed by a nonzero u32 deadline,
-  // or the full tail -- want-timing byte, u32 deadline (0 allowed only
-  // here), u64 trace id (nonzero), u64 span id. Anything else is garbage,
-  // not a field.
-  uint8_t WantTiming = 0;
-  uint32_t DeadlineMs = 0;
-  uint64_t TraceId = 0, SpanId = 0;
-  if (!B.atEnd()) {
-    if (!B.u8(WantTiming) || WantTiming > 1) {
-      Err = "malformed request payload";
-      return false;
-    }
-    if (B.atEnd()) {
-      if (WantTiming != 1) {
-        Err = "malformed request payload";
-        return false;
-      }
-    } else if (!B.u32(DeadlineMs)) {
-      Err = "malformed request payload";
-      return false;
-    } else if (B.atEnd()) {
-      if (DeadlineMs == 0) {
-        Err = "malformed request payload";
-        return false;
-      }
-    } else if (!B.u64(TraceId) || TraceId == 0 || !B.u64(SpanId) ||
-               !B.atEnd()) {
-      Err = "malformed request payload";
-      return false;
-    }
-  }
   // 1024 is far above any real dispatch width; beyond it the field is
   // garbage, not a knob.
-  if (Batched > 1 || WantSo > 1 || (Measure > 1 && Measure != 0xff) ||
-      Threads > 1024) {
+  if (!B.str(R.LaSource) || !B.str(R.OptionsText) || !B.u8(Batched) ||
+      !B.str(R.StrategyName) || !B.u32(Threads) || !B.u8(Measure) ||
+      !B.u8(WantSo) || !B.u8(WantTiming) || !B.u32(R.DeadlineMs) ||
+      !B.u64(R.TraceId) || !B.atEnd() || Batched > 1 || WantSo > 1 ||
+      WantTiming > 1 || (Measure > 1 && Measure != 0xff) || Threads > 1024) {
     Err = "malformed request payload";
     return false;
   }
@@ -99,9 +61,6 @@ bool net::decodeRequest(const std::string &Payload, Request &R,
   R.MeasureOverride = Measure == 0xff ? -1 : Measure;
   R.WantSo = WantSo == 1;
   R.WantTiming = WantTiming == 1;
-  R.DeadlineMs = DeadlineMs;
-  R.TraceId = TraceId;
-  R.SpanId = SpanId;
   return true;
 }
 
@@ -149,101 +108,79 @@ std::string net::encodeArtifact(const ArtifactMsg &A) {
   W.f64(A.MeasuredCycles);
   W.str(A.CSource);
   W.str(A.SoBytes);
-  // Trailing optional fields, written only when the daemon has something
-  // to ship: a response without them is byte-identical to the pre-timing
-  // format, so old clients never see bytes they cannot decode. The span
-  // list can only follow a timing document (it is gated on the request
-  // carrying a trace id, which implies a client new enough for both).
-  if (!A.TimingText.empty()) {
-    W.str(A.TimingText);
-    if (!A.ServerSpans.empty()) {
-      W.u32(static_cast<uint32_t>(A.ServerSpans.size()));
-      for (const obs::Span &S : A.ServerSpans) {
-        W.str(S.Name);
-        W.str(S.Cat);
-        W.u64(static_cast<uint64_t>(S.StartUs));
-        W.u64(static_cast<uint64_t>(S.DurUs));
-        W.u32(S.Tid);
-      }
-    }
+  W.u8(A.Timing ? 1 : 0);
+  if (A.Timing) {
+    W.str(A.Timing->Tier);
+    for (long service::RequestTiming::*F : TimingCounters)
+      W.u64(static_cast<uint64_t>((*A.Timing).*F));
+  }
+  W.u32(static_cast<uint32_t>(A.ServerSpans.size()));
+  for (const obs::Span &S : A.ServerSpans) {
+    W.str(S.Name);
+    W.str(S.Cat);
+    W.u64(static_cast<uint64_t>(S.StartUs));
+    W.u64(static_cast<uint64_t>(S.DurUs));
+    W.u32(S.Tid);
   }
   return W.take();
 }
 
 bool net::decodeArtifact(const std::string &Payload, ArtifactMsg &A,
                          std::string &Err) {
+  auto Fail = [&] {
+    Err = "malformed artifact payload";
+    return false;
+  };
   ByteReader B(Payload);
-  uint32_t NumParams, ChoiceLen, BatchThreads;
+  uint32_t NumParams, ChoiceLen, BatchThreads, NumSpans;
   uint64_t Cost;
-  uint8_t Batched, Measured;
+  uint8_t Batched, Measured, HasTiming;
   if (!B.str(A.Key) || !B.str(A.FuncName) || !B.str(A.IsaName) ||
       !B.u32(NumParams) || !B.u8(Batched) || !B.str(A.StrategyName) ||
-      !B.u32(BatchThreads) || !B.u32(ChoiceLen)) {
-    Err = "malformed artifact payload";
-    return false;
-  }
-  if (BatchThreads < 1 || BatchThreads > 1024) {
-    Err = "malformed artifact payload";
-    return false;
-  }
-  A.BatchThreads = static_cast<int>(BatchThreads);
+      !B.u32(BatchThreads) || !B.u32(ChoiceLen) || Batched > 1 ||
+      BatchThreads < 1 || BatchThreads > 1024)
+    return Fail();
   // Each choice entry costs 4 payload bytes, so a hostile length prefix
   // cannot reserve more than the frame itself carried.
   A.Choice.clear();
   for (uint32_t I = 0; I < ChoiceLen; ++I) {
     uint32_t C;
-    if (!B.u32(C)) {
-      Err = "malformed artifact payload";
-      return false;
-    }
+    if (!B.u32(C))
+      return Fail();
     A.Choice.push_back(static_cast<int>(C));
   }
   if (!B.u64(Cost) || !B.u8(Measured) || !B.f64(A.MeasuredCycles) ||
-      !B.str(A.CSource) || !B.str(A.SoBytes)) {
-    Err = "malformed artifact payload";
-    return false;
+      !B.str(A.CSource) || !B.str(A.SoBytes) || !B.u8(HasTiming) ||
+      Measured > 1 || HasTiming > 1)
+    return Fail();
+  A.Timing.reset();
+  if (HasTiming) {
+    service::RequestTiming &T = A.Timing.emplace();
+    if (!B.str(T.Tier))
+      return Fail();
+    for (long service::RequestTiming::*F : TimingCounters) {
+      uint64_t V;
+      if (!B.u64(V))
+        return Fail();
+      T.*F = static_cast<long>(V);
+    }
   }
-  // Optional trailing server-timing document, optionally followed by the
-  // daemon's span list: absent on old-format responses (atEnd right
-  // here); present, the spans (when any) must run exactly to the end.
-  A.TimingText.clear();
+  if (!B.u32(NumSpans) || NumSpans > MaxServerSpans)
+    return Fail();
   A.ServerSpans.clear();
-  if (!B.atEnd()) {
-    if (!B.str(A.TimingText)) {
-      Err = "malformed artifact payload";
-      return false;
-    }
-    if (!B.atEnd()) {
-      uint32_t NumSpans;
-      // Each span costs >= 28 payload bytes, so 4096 comfortably exceeds
-      // anything a real daemon ships (SpanCollector caps at 128) while a
-      // hostile count still cannot reserve past the frame.
-      if (!B.u32(NumSpans) || NumSpans == 0 || NumSpans > 4096) {
-        Err = "malformed artifact payload";
-        return false;
-      }
-      for (uint32_t I = 0; I < NumSpans; ++I) {
-        obs::Span S;
-        uint64_t Start, Dur;
-        if (!B.str(S.Name) || !B.str(S.Cat) || !B.u64(Start) ||
-            !B.u64(Dur) || !B.u32(S.Tid)) {
-          Err = "malformed artifact payload";
-          return false;
-        }
-        S.StartUs = static_cast<int64_t>(Start);
-        S.DurUs = static_cast<int64_t>(Dur);
-        A.ServerSpans.push_back(std::move(S));
-      }
-      if (!B.atEnd()) {
-        Err = "malformed artifact payload";
-        return false;
-      }
-    }
+  for (uint32_t I = 0; I < NumSpans; ++I) {
+    obs::Span S;
+    uint64_t Start, Dur;
+    if (!B.str(S.Name) || !B.str(S.Cat) || !B.u64(Start) || !B.u64(Dur) ||
+        !B.u32(S.Tid))
+      return Fail();
+    S.StartUs = static_cast<int64_t>(Start);
+    S.DurUs = static_cast<int64_t>(Dur);
+    A.ServerSpans.push_back(std::move(S));
   }
-  if (Batched > 1 || Measured > 1) {
-    Err = "malformed artifact payload";
-    return false;
-  }
+  if (!B.atEnd())
+    return Fail();
+  A.BatchThreads = static_cast<int>(BatchThreads);
   A.NumParams = static_cast<int>(NumParams);
   A.Batched = Batched == 1;
   A.StaticCost = static_cast<long>(Cost);
@@ -256,23 +193,21 @@ std::string net::encodeErrorPayload(service::Errc Code,
   return std::string(service::errcName(Code)) + ": " + Msg;
 }
 
-void net::decodeErrorPayload(const std::string &Payload,
-                             std::optional<service::Errc> &Code,
+bool net::decodeErrorPayload(const std::string &Payload, service::Errc &Code,
                              std::string &Msg) {
-  Code = std::nullopt;
-  Msg = Payload;
   size_t Colon = Payload.find(": ");
   if (Colon == std::string::npos)
-    return;
+    return false;
   // Only a known token counts -- "parse error: ..." (a message that merely
   // looks prefixed) must not decode as a code. "ok" is likewise rejected:
   // an ERR frame claiming success is nonsense, and letting Errc::None
   // through would read as a successful Status upstream.
   auto E = service::errcByName(Payload.substr(0, Colon));
-  if (E && *E != service::Errc::None) {
-    Code = *E;
-    Msg = Payload.substr(Colon + 2);
-  }
+  if (!E || *E == service::Errc::None)
+    return false;
+  Code = *E;
+  Msg = Payload.substr(Colon + 2);
+  return true;
 }
 
 ArtifactMsg net::artifactToMsg(const service::KernelArtifact &A,

@@ -18,9 +18,11 @@
 ///                data), and the compiled shared object as raw bytes --
 ///                dlopen-able on the client via JitKernel::loadFromBytes.
 ///
-/// Decoders validate strictly (no trailing bytes, no unknown strategy
-/// names) and fail with a message rather than guessing: a frame that
-/// decodes is a frame whose every field is meaningful.
+/// Each message has exactly one encoding: every field is always written,
+/// in a fixed order, with 0 (or empty) meaning "none" for the optional
+/// ones. Decoders validate strictly (no trailing bytes, no out-of-range
+/// flags) and fail with a message rather than guessing: a payload that
+/// decodes re-encodes to exactly its own bytes.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -58,33 +60,16 @@ struct Request {
   /// When false the response omits the .so bytes (clients that only want
   /// the C source skip the biggest field).
   bool WantSo = true;
-  /// Ask the daemon to attach its per-request phase breakdown to the
-  /// response (ArtifactMsg::TimingText). Encoded as a trailing field only
-  /// when set, so requests from clients that never ask are byte-identical
-  /// to the pre-timing wire format and old daemons keep decoding them;
-  /// old daemons receiving a want-timing request reject it, which the
-  /// facade treats as "no breakdown available", not a failure.
+  /// Ask the daemon to attach its per-request phase breakdown and span
+  /// list to the response (ArtifactMsg::Timing and ServerSpans).
   bool WantTiming = false;
   /// Milliseconds the client is willing to wait, 0 = no deadline. The
   /// daemon sheds work whose deadline already passed (Errc::
   /// DeadlineExceeded) instead of generating a kernel nobody is waiting
-  /// for. Rides the same trailing-field scheme as WantTiming: when set,
-  /// the want-timing byte is always written (0 or 1) followed by the u32
-  /// deadline, so the decoder distinguishes the tails by length --
-  /// deadline-free requests stay byte-identical to the older formats, and
-  /// an old daemon rejecting the tail makes the client retry without it.
+  /// for.
   uint32_t DeadlineMs = 0;
   /// Request trace id for cross-process span correlation; 0 = untraced.
-  /// Extends the trailing-field scheme a third step: when nonzero, the
-  /// full tail is always written -- want-timing byte, u32 deadline (0
-  /// allowed in this form only), u64 trace id (nonzero), u64 span id --
-  /// so the decoder again tells the three tails apart by length (1, 5,
-  /// or 21 bytes). Old daemons reject the long tail; the client strips
-  /// the ids and retries once, exactly the DeadlineMs downgrade dance.
   uint64_t TraceId = 0;
-  /// The client's root span id under TraceId (informational; the daemon
-  /// currently echoes it into nothing but future parenting may use it).
-  uint64_t SpanId = 0;
 };
 
 std::string encodeRequest(const Request &R);
@@ -96,6 +81,11 @@ bool decodeRequest(const std::string &Payload, Request &R, std::string &Err);
 /// overrides.
 bool requestToServiceArgs(const Request &R, GenOptions &Options,
                           service::RequestOptions &Req, std::string &Err);
+
+/// Span-list cap of the ARTIFACT decoder: far above what a daemon ships
+/// (obs::SpanCollector keeps at most 128), and each span costs >= 28
+/// payload bytes, so a hostile count cannot reserve past the frame.
+constexpr uint32_t MaxServerSpans = 4096;
 
 /// An ARTIFACT payload: KernelArtifact, flattened for the wire.
 struct ArtifactMsg {
@@ -115,19 +105,12 @@ struct ArtifactMsg {
   double MeasuredCycles = 0.0;
   std::string CSource;
   std::string SoBytes; ///< compiled shared object; empty when source-only
-  /// Server-timing breakdown (a serializeRequestTiming document), present
-  /// only when the request set WantTiming and the daemon understands it.
-  /// Encoded as a trailing field only when non-empty: responses without it
-  /// are byte-identical to the pre-timing format, so old clients decode
-  /// new daemons and new clients decode old daemons (absence simply means
-  /// "no breakdown").
-  std::string TimingText;
+  /// Server-timing breakdown; the daemon sets it exactly when the request
+  /// set WantTiming.
+  std::optional<service::RequestTiming> Timing;
   /// The daemon's span list for this request (server clock timestamps),
-  /// shipped so the client can merge one cross-process Chrome trace.
-  /// Encoded after TimingText and only when TimingText is also present --
-  /// the daemon attaches spans only for requests that sent both
-  /// WantTiming and a trace id, and a trace id is precisely what old
-  /// clients never send, so they never see this field.
+  /// shipped alongside Timing so the client can merge one cross-process
+  /// Chrome trace. The decoder rejects more than MaxServerSpans.
   std::vector<obs::Span> ServerSpans;
 };
 
@@ -144,14 +127,13 @@ ArtifactMsg artifactToMsg(const service::KernelArtifact &A,
 // Structured ERR payloads. A daemon-side failure rides the wire as
 // "<errc-token>: <message>" (tokens from service::errcName), so clients
 // can branch on the error class -- retry only transport failures, map
-// parse errors to their own error model -- without parsing prose. The
-// payload stays human-readable, and messages from pre-code daemons (no
-// recognized token prefix) decode with Code unset.
+// parse errors to their own error model -- without parsing prose. A
+// payload without a known token (or with "ok") does not decode.
 //===----------------------------------------------------------------------===//
 
 std::string encodeErrorPayload(service::Errc Code, const std::string &Msg);
-void decodeErrorPayload(const std::string &Payload,
-                        std::optional<service::Errc> &Code, std::string &Msg);
+bool decodeErrorPayload(const std::string &Payload, service::Errc &Code,
+                        std::string &Msg);
 
 } // namespace net
 } // namespace slingen

@@ -312,7 +312,9 @@ void Server::serveConnection(Connection &Conn) {
       // for a torn frame it is likely gone) and drop the connection --
       // the stream can no longer be trusted to be frame-aligned.
       std::string Ignored;
-      writeFrame(Conn.Fd, Verb::Error, Err, Ignored);
+      writeFrame(Conn.Fd, Verb::Error,
+                 encodeErrorPayload(service::Errc::InvalidRequest, Err),
+                 Ignored);
       break;
     }
     Conn.InRequest = true;
@@ -509,12 +511,10 @@ bool Server::handleFrame(Connection &Conn, const Frame &F) {
       return Respond(Verb::Ok, "queued");
     }
 
-    // Collect this request's spans for the reply only when the client can
-    // decode them: a trace id is precisely the marker of a client new
-    // enough for the span field (old clients send WantTiming alone).
+    // A timing request gets this request's spans back with its breakdown.
     obs::SpanCollector Spans;
     std::optional<obs::ScopedCollect> Collect;
-    if (R.WantTiming && R.TraceId)
+    if (R.WantTiming)
       Collect.emplace(Spans);
     service::GetResult G = Svc.get(R.LaSource, Options, Req);
     Collect.reset();
@@ -545,9 +545,8 @@ bool Server::handleFrame(Connection &Conn, const Frame &F) {
     }
     ArtifactMsg Msg = artifactToMsg(*G.Kernel, std::move(SoBytes));
     if (R.WantTiming) {
-      Msg.TimingText = service::serializeRequestTiming(G.Timing);
-      if (R.TraceId)
-        Msg.ServerSpans = std::move(Spans.Spans);
+      Msg.Timing.emplace(std::move(G.Timing));
+      Msg.ServerSpans = std::move(Spans.Spans);
     }
     return Respond(Verb::Artifact, encodeArtifact(Msg));
   }
@@ -558,8 +557,8 @@ bool Server::handleFrame(Connection &Conn, const Frame &F) {
     break; // response verbs from a client are a protocol violation
   }
   // Unknown or misplaced verb: answer (the frame boundary is intact) but
-  // keep serving -- a newer client probing an older daemon deserves a
-  // diagnosable error, not a hangup.
+  // keep serving -- a client sending a verb this daemon does not serve
+  // deserves a diagnosable error, not a hangup.
   return RespondError(service::Errc::InvalidRequest,
                       formatf("unsupported verb 0x%02x", F.VerbByte), 0);
 }

@@ -24,7 +24,6 @@ using namespace slingen::net;
 
 namespace {
 
-constexpr char Magic[4] = {'s', 'l', 'd', '2'};
 constexpr size_t HeaderSize = 4 + 1 + 4; // magic, verb, payload length
 
 /// Writes all of \p Len bytes; EINTR-safe, short-write-safe. MSG_NOSIGNAL
@@ -121,7 +120,7 @@ bool net::writeFrame(int Fd, Verb V, const std::string &Payload,
     return false;
   }
   char Header[HeaderSize];
-  std::memcpy(Header, Magic, 4);
+  std::memcpy(Header, FrameMagic.data(), FrameMagic.size());
   Header[4] = static_cast<char>(V);
   uint32_t Len = static_cast<uint32_t>(Payload.size());
   for (int I = 0; I < 4; ++I)
@@ -147,7 +146,7 @@ ReadStatus net::readFrame(int Fd, Frame &F, std::string &Err,
     return ReadStatus::Timeout;
   if (Rc < 0)
     return ReadStatus::Error;
-  if (std::memcmp(Header, Magic, 4) != 0) {
+  if (std::memcmp(Header, FrameMagic.data(), FrameMagic.size()) != 0) {
     Err = "bad frame magic (not an sld peer?)";
     return ReadStatus::Error;
   }

@@ -12,7 +12,7 @@
 /// Frame layout (all integers little-endian):
 ///
 ///   offset  size  field
-///   0       4     magic "sld2"
+///   0       4     magic FrameMagic ("sld3")
 ///   4       1     verb (see Verb; unknown values are delivered raw so the
 ///                 server can answer ERR instead of hanging up blind)
 ///   5       4     payload length N
@@ -32,9 +32,15 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <string_view>
 
 namespace slingen {
 namespace net {
+
+/// Opens every frame. It is the protocol version too: a change to any
+/// message layout bumps it, so a mismatched peer fails at the first frame
+/// ("bad frame magic") instead of misreading a payload.
+constexpr std::string_view FrameMagic = "sld3";
 
 /// Frame verbs. Requests are low values, responses have the high bit set.
 enum class Verb : uint8_t {

@@ -629,46 +629,6 @@ std::string service::serializeServiceStats(const ServiceStats &S) {
   return SS.str();
 }
 
-std::string service::serializeRequestTiming(const RequestTiming &T) {
-  std::stringstream SS;
-  SS << "tier=" << T.Tier << "\n";
-  SS << "cache-us=" << T.CacheUs << "\n";
-  SS << "wait-us=" << T.WaitUs << "\n";
-  SS << "disk-us=" << T.DiskUs << "\n";
-  SS << "gen-us=" << T.GenUs << "\n";
-  SS << "tune-us=" << T.TuneUs << "\n";
-  SS << "compile-us=" << T.CompileUs << "\n";
-  SS << "total-us=" << T.TotalUs << "\n";
-  return SS.str();
-}
-
-bool service::deserializeRequestTiming(const std::string &Text,
-                                       RequestTiming &T) {
-  bool SawAny = false;
-  for (auto &KV : parseKeyValueLines(Text)) {
-    SawAny = true;
-    if (KV.first == "tier")
-      T.Tier = KV.second;
-    else if (KV.first == "cache-us")
-      T.CacheUs = atol(KV.second.c_str());
-    else if (KV.first == "wait-us")
-      T.WaitUs = atol(KV.second.c_str());
-    else if (KV.first == "disk-us")
-      T.DiskUs = atol(KV.second.c_str());
-    else if (KV.first == "gen-us")
-      T.GenUs = atol(KV.second.c_str());
-    else if (KV.first == "tune-us")
-      T.TuneUs = atol(KV.second.c_str());
-    else if (KV.first == "compile-us")
-      T.CompileUs = atol(KV.second.c_str());
-    else if (KV.first == "total-us")
-      T.TotalUs = atol(KV.second.c_str());
-    // Unknown keys are skipped: a newer server may ship a richer
-    // breakdown than this client knows.
-  }
-  return SawAny;
-}
-
 //===----------------------------------------------------------------------===//
 // ServiceConfig (de)serialization -- the sld/slc flag parsers and the wire
 // protocol all speak this one key set.

@@ -75,11 +75,11 @@ struct ServiceConfig {
   /// metadata: it never changes the emitted C or the cache key.
   int BatchThreads = 0;
   /// Size budget for the disk tier in bytes; 0 disables GC. After every
-  /// store the tier is scanned and whole entries (.c/.so/.meta groups) are
-  /// evicted oldest-mtime-first until the total fits (the entry just
-  /// stored is never evicted). The scan is O(entries) per store: size the
-  /// budget for caches where that is acceptable, or leave GC to an
-  /// external janitor for 10^6-entry tiers.
+  /// store whole entries (.c/.so/.meta groups) are evicted
+  /// oldest-mtime-first until the total fits (the entry just stored is
+  /// never evicted). The tier is scanned once, on the first enforcement;
+  /// later stores update an in-process size index and cost O(evicted)
+  /// (see KernelCache::enforceDiskBudget).
   long CacheMaxBytes = 0;
   /// Master switch for the C compiler. Off: the service serves source-only
   /// artifacts and tuning falls back to the static model (also what
@@ -178,8 +178,8 @@ std::string serializeServiceStats(const ServiceStats &S);
 /// came from and how long each serving phase took, in wall microseconds.
 /// Phases that did not run stay 0 (a memory hit has only CacheUs; only
 /// joiners have WaitUs). This is what the wire protocol ships to clients
-/// as the optional server-timing field (see serializeRequestTiming) and
-/// what sl::Kernel::timing() surfaces.
+/// that ask for it (net::ArtifactMsg::Timing) and what
+/// sl::Kernel::timing() surfaces.
 struct RequestTiming {
   /// Which tier answered: "mem", "disk", "generated", or "joined"
   /// (piggybacked on another request's in-flight generation). Empty on
@@ -193,12 +193,6 @@ struct RequestTiming {
   long CompileUs = 0; ///< serving-path compiles (see Compilations)
   long TotalUs = 0;   ///< whole get(), end to end
 };
-
-/// \p T as `key=value` lines (tier=..., cache-us=..., ...): the wire form
-/// of the server-timing field. Forward-compatible: deserialize ignores
-/// unknown keys, so either side can grow the breakdown first.
-std::string serializeRequestTiming(const RequestTiming &T);
-bool deserializeRequestTiming(const std::string &Text, RequestTiming &T);
 
 /// What failed, when a request fails. One stable code per failure class,
 /// so callers (the client facade, the wire protocol) can branch without

@@ -421,10 +421,10 @@ TEST(ClientRemote, TransportRetryRecoversAfterDroppedConnection) {
   EXPECT_EQ(K0.code(), sl::Code::TransportError) << K0.message();
 }
 
-/// A daemon that rejects as malformed every request carrying the trailing
-/// want-timing/deadline/trace fields and serves a canned source-only
-/// artifact to a bare one: a client that resent a rejected request
-/// stripped of those fields would be served.
+/// A daemon that rejects as malformed every request carrying a
+/// want-timing flag, deadline, or trace id and serves a canned source-only
+/// artifact to a bare one: a client that resent a rejected request with
+/// those fields cleared would be served.
 struct RejectingDaemon {
   RejectingDaemon() {
     Path = Dir.Path + "/reject.sock";
@@ -498,7 +498,7 @@ TEST(ClientRemote, RejectedRequestIsNotResent) {
   ASSERT_TRUE(S) << S.message();
 
   // A rejection is the caller's answer: the request (every one rides with
-  // a trace id) is sent once, never again stripped of its trailing fields.
+  // a trace id) is sent once, never again with its fields cleared.
   auto R = sl::RequestBuilder()
                .source(la::potrfSource(8))
                .name("cl_rejected")

@@ -30,6 +30,7 @@
 #include <cmath>
 #include <cstring>
 #include <filesystem>
+#include <functional>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -132,7 +133,9 @@ TEST(Wire, TornHeaderAndTornPayloadAreErrors) {
   {
     SocketPair SP;
     // Half a header, then close.
-    ASSERT_EQ(write(SP.A, "sld2\x01\xff", 6), 6);
+    std::string Half = std::string(FrameMagic) + "\x01\xff";
+    ASSERT_EQ(write(SP.A, Half.data(), Half.size()),
+              static_cast<ssize_t>(Half.size()));
     close(SP.A);
     SP.A = -1;
     Frame F;
@@ -143,7 +146,7 @@ TEST(Wire, TornHeaderAndTornPayloadAreErrors) {
   {
     SocketPair SP;
     // A full header promising 100 payload bytes, only 3 delivered.
-    std::string Hdr = "sld2";
+    std::string Hdr(FrameMagic);
     Hdr.push_back(0x01);
     Hdr.push_back(100);
     Hdr.append(3, '\0');
@@ -173,7 +176,7 @@ TEST(Wire, OversizedPayloadIsRejectedBeforeReading) {
   std::string Err;
   // Declared length 2 MiB against a 1 MiB cap; no payload bytes follow,
   // proving rejection happens on the header alone.
-  std::string Hdr = "sld2";
+  std::string Hdr(FrameMagic);
   Hdr.push_back(0x01);
   uint32_t Len = 2u << 20;
   for (int I = 0; I < 4; ++I)
@@ -406,24 +409,18 @@ TEST(Protocol, ServiceConfigSerializationRoundTrips) {
 TEST(Protocol, ErrorPayloadRoundTripsTheCode) {
   std::string Payload =
       encodeErrorPayload(service::Errc::ParseError, "parse error: line 3");
-  std::optional<service::Errc> Code;
+  service::Errc Code;
   std::string Msg;
-  decodeErrorPayload(Payload, Code, Msg);
-  ASSERT_TRUE(Code.has_value());
-  EXPECT_EQ(*Code, service::Errc::ParseError);
+  ASSERT_TRUE(decodeErrorPayload(Payload, Code, Msg));
+  EXPECT_EQ(Code, service::Errc::ParseError);
   EXPECT_EQ(Msg, "parse error: line 3");
 
-  // A message that merely *looks* prefixed must not decode as a code, and
-  // untagged payloads (pre-code daemons) survive as plain messages.
-  decodeErrorPayload("parse error: not a token", Code, Msg);
-  EXPECT_FALSE(Code.has_value());
-  EXPECT_EQ(Msg, "parse error: not a token");
-  decodeErrorPayload("no separator here", Code, Msg);
-  EXPECT_FALSE(Code.has_value());
-  // An ERR frame claiming success is nonsense; "ok" must not decode.
-  decodeErrorPayload("ok: all good", Code, Msg);
-  EXPECT_FALSE(Code.has_value());
-  EXPECT_EQ(Msg, "ok: all good");
+  // Only a known token decodes: a message that merely *looks* prefixed,
+  // an untagged message, and an ERR frame claiming success ("ok") are all
+  // rejected -- the client reports them as protocol errors.
+  EXPECT_FALSE(decodeErrorPayload("parse error: not a token", Code, Msg));
+  EXPECT_FALSE(decodeErrorPayload("no separator here", Code, Msg));
+  EXPECT_FALSE(decodeErrorPayload("ok: all good", Code, Msg));
 }
 
 TEST(Protocol, ParseAddrForms) {
@@ -584,7 +581,7 @@ TEST(SldServer, OversizedAndTornClientFramesDoNotKillTheDaemon) {
     int Fd = rawConnect(D.Srv->unixPath());
     ASSERT_GE(Fd, 0);
     std::string Err;
-    std::string Hdr = "sld2";
+    std::string Hdr(FrameMagic);
     Hdr.push_back(0x01);
     uint32_t Len = 1u << 20;
     for (int I = 0; I < 4; ++I)
@@ -594,7 +591,11 @@ TEST(SldServer, OversizedAndTornClientFramesDoNotKillTheDaemon) {
     Frame F;
     ASSERT_EQ(readFrame(Fd, F, Err), ReadStatus::Ok) << Err;
     EXPECT_EQ(F.verb(), Verb::Error);
-    EXPECT_NE(F.Payload.find("exceeds"), std::string::npos);
+    service::Errc Code;
+    std::string Msg;
+    ASSERT_TRUE(decodeErrorPayload(F.Payload, Code, Msg)) << F.Payload;
+    EXPECT_EQ(Code, service::Errc::InvalidRequest);
+    EXPECT_NE(Msg.find("exceeds"), std::string::npos);
     EXPECT_EQ(readFrame(Fd, F, Err), ReadStatus::Eof);
     close(Fd);
   }
@@ -602,7 +603,9 @@ TEST(SldServer, OversizedAndTornClientFramesDoNotKillTheDaemon) {
     // A client dying mid-frame must only cost its own connection.
     int Fd = rawConnect(D.Srv->unixPath());
     ASSERT_GE(Fd, 0);
-    ASSERT_EQ(write(Fd, "sld2\x01", 5), 5);
+    std::string Torn = std::string(FrameMagic) + "\x01";
+    ASSERT_EQ(write(Fd, Torn.data(), Torn.size()),
+              static_cast<ssize_t>(Torn.size()));
     close(Fd);
   }
   // The daemon still serves fresh connections.
@@ -860,6 +863,37 @@ TEST(SldServer, ClientSurfacesStructuredErrorCategories) {
   EXPECT_FALSE(E.Code.has_value());
 }
 
+// An ERR reply without an errc token is not a daemon verdict but a peer
+// speaking something else: the client reports a protocol error.
+TEST(SldServer, UntaggedErrorReplyIsAProtocolError) {
+  TempDir Dir;
+  std::string Path = Dir.Path + "/untagged.sock";
+  int L = socket(AF_UNIX, SOCK_STREAM, 0);
+  sockaddr_un SA{};
+  SA.sun_family = AF_UNIX;
+  strncpy(SA.sun_path, Path.c_str(), sizeof(SA.sun_path) - 1);
+  ASSERT_EQ(bind(L, reinterpret_cast<sockaddr *>(&SA), sizeof(SA)), 0);
+  ASSERT_EQ(listen(L, 1), 0);
+  std::thread Peer([L] {
+    int Fd = accept(L, nullptr, nullptr);
+    Frame F;
+    std::string Err;
+    if (readFrame(Fd, F, Err) == ReadStatus::Ok)
+      writeFrame(Fd, Verb::Error, "something broke", Err);
+    close(Fd);
+  });
+  std::string Err;
+  auto C = Client::connect(Path, Err);
+  ASSERT_TRUE(C) << Err;
+  ClientError E;
+  EXPECT_FALSE(C->ping(E));
+  EXPECT_EQ(E.Category, ErrorCategory::Protocol);
+  EXPECT_FALSE(E.Code.has_value());
+  EXPECT_NE(E.Message.find("something broke"), std::string::npos);
+  Peer.join();
+  close(L);
+}
+
 TEST(SldServer, StopDisconnectsClientsAndUnlinksSocket) {
   service::ServiceConfig SC;
   SC.UseCompiler = false;
@@ -879,80 +913,38 @@ TEST(SldServer, StopDisconnectsClientsAndUnlinksSocket) {
 }
 
 //===----------------------------------------------------------------------===//
-// Server-timing wire field (optional trailing fields, old/new compat)
+// Fixed message layout: timing, deadline, trace id, and span fields
 //===----------------------------------------------------------------------===//
 
-TEST(Protocol, RequestWantTimingIsOptionalAndTrailing) {
+TEST(Protocol, FixedLayoutRoundTripsEveryField) {
   Request R;
   R.LaSource = "Mat A(4,4) <In>;\n";
   R.OptionsText = "isa=avx\nfunc=k\n";
-
-  // Default request: no trailing byte, so the encoding is byte-identical
-  // to the pre-timing wire format.
-  std::string Plain = encodeRequest(R);
+  Request Plain = R;
   R.WantTiming = true;
-  std::string WithTiming = encodeRequest(R);
-  ASSERT_EQ(WithTiming.size(), Plain.size() + 1);
-  EXPECT_EQ(WithTiming.substr(0, Plain.size()), Plain);
-
-  // Both forms decode, and absence means false -- exactly what an
-  // old-format client's bytes look like to a new daemon.
-  Request D;
-  std::string Err;
-  ASSERT_TRUE(decodeRequest(Plain, D, Err)) << Err;
-  EXPECT_FALSE(D.WantTiming);
-  ASSERT_TRUE(decodeRequest(WithTiming, D, Err)) << Err;
-  EXPECT_TRUE(D.WantTiming);
-
-  // The field is only encoded when set: an explicit 0 byte (or any other
-  // value, or trailing garbage after it) is malformed, not "false".
-  EXPECT_FALSE(decodeRequest(Plain + std::string(1, '\0'), D, Err));
-  EXPECT_FALSE(decodeRequest(Plain + std::string(1, '\x02'), D, Err));
-  EXPECT_FALSE(decodeRequest(WithTiming + "x", D, Err));
-}
-
-TEST(Protocol, RequestDeadlineIsOptionalAndTrailing) {
-  Request R;
-  R.LaSource = "Mat A(4,4) <In>;\n";
-  R.OptionsText = "isa=avx\nfunc=k\n";
-
-  // No deadline, no timing: byte-identical to the pre-deadline format.
-  std::string Plain = encodeRequest(R);
   R.DeadlineMs = 1500;
-  std::string WithDeadline = encodeRequest(R);
-  // The deadline rides behind the (explicit) timing byte: +1 +4.
-  ASSERT_EQ(WithDeadline.size(), Plain.size() + 5);
-  EXPECT_EQ(WithDeadline.substr(0, Plain.size()), Plain);
-  R.WantTiming = true;
-  std::string WithBoth = encodeRequest(R);
-  ASSERT_EQ(WithBoth.size(), Plain.size() + 5);
+  R.TraceId = 0x1122334455667788ull;
 
-  // All three forms decode; absence means "no deadline" -- what an
-  // old-format client's bytes look like to a new daemon.
+  // Setting the fields changes bytes, never the layout.
+  std::string PlainEnc = encodeRequest(Plain), FullEnc = encodeRequest(R);
+  EXPECT_EQ(FullEnc.size(), PlainEnc.size());
   Request D;
   std::string Err;
-  ASSERT_TRUE(decodeRequest(Plain, D, Err)) << Err;
-  EXPECT_EQ(D.DeadlineMs, 0u);
-  ASSERT_TRUE(decodeRequest(WithDeadline, D, Err)) << Err;
-  EXPECT_EQ(D.DeadlineMs, 1500u);
-  EXPECT_FALSE(D.WantTiming);
-  ASSERT_TRUE(decodeRequest(WithBoth, D, Err)) << Err;
-  EXPECT_EQ(D.DeadlineMs, 1500u);
+  ASSERT_TRUE(decodeRequest(FullEnc, D, Err)) << Err;
   EXPECT_TRUE(D.WantTiming);
-
-  // A reused message does not leak the previous request's deadline.
-  ASSERT_TRUE(decodeRequest(Plain, D, Err)) << Err;
+  EXPECT_EQ(D.DeadlineMs, 1500u);
+  EXPECT_EQ(D.TraceId, 0x1122334455667788ull);
+  // A reused message does not leak the previous request's fields.
+  ASSERT_TRUE(decodeRequest(PlainEnc, D, Err)) << Err;
+  EXPECT_FALSE(D.WantTiming);
   EXPECT_EQ(D.DeadlineMs, 0u);
-
-  // Malformed tails: a zero deadline is never encoded so it never
-  // decodes, and truncated or over-long tails are rejected.
-  ByteWriter Zero;
-  Zero.u8(0);
-  Zero.u32(0);
-  EXPECT_FALSE(decodeRequest(Plain + Zero.take(), D, Err));
-  EXPECT_FALSE(
-      decodeRequest(WithDeadline.substr(0, WithDeadline.size() - 1), D, Err));
-  EXPECT_FALSE(decodeRequest(WithDeadline + "x", D, Err));
+  EXPECT_EQ(D.TraceId, 0u);
+  // Truncated, over-long, and out-of-range flags are rejected.
+  EXPECT_FALSE(decodeRequest(FullEnc.substr(0, FullEnc.size() - 1), D, Err));
+  EXPECT_FALSE(decodeRequest(FullEnc + "x", D, Err));
+  std::string BadFlag = PlainEnc;
+  BadFlag[BadFlag.size() - 13] = 2; // the want-timing byte
+  EXPECT_FALSE(decodeRequest(BadFlag, D, Err));
 
   // The daemon stamps an absolute expiry at decode time.
   GenOptions O;
@@ -963,152 +955,191 @@ TEST(Protocol, RequestDeadlineIsOptionalAndTrailing) {
   SR.DeadlineMs = 50;
   ASSERT_TRUE(requestToServiceArgs(SR, O, Req, Err)) << Err;
   EXPECT_GT(Req.DeadlineUs, 0);
-}
 
-TEST(Protocol, ArtifactTimingTextIsOptionalAndTrailing) {
   ArtifactMsg A;
   A.Key = "00deadbeef001122";
   A.FuncName = "potrf8";
   A.IsaName = "avx";
   A.NumParams = 2;
   A.CSource = "void potrf8(double*, double*);";
-
-  // No breakdown: byte-identical to the pre-timing format, so old clients
-  // decode new daemons.
-  std::string Plain = encodeArtifact(A);
-  ArtifactMsg D;
-  std::string Err;
-  ASSERT_TRUE(decodeArtifact(Plain, D, Err)) << Err;
-  EXPECT_TRUE(D.TimingText.empty());
-
-  // With a breakdown, the document round-trips as the final field.
+  std::string NoTiming = encodeArtifact(A);
   service::RequestTiming TM;
   TM.Tier = "generated";
   TM.CacheUs = 12;
+  TM.WaitUs = 3;
+  TM.DiskUs = 45;
   TM.GenUs = 3400;
+  TM.TuneUs = 77;
   TM.CompileUs = 5600;
   TM.TotalUs = 9100;
-  A.TimingText = service::serializeRequestTiming(TM);
-  std::string WithTiming = encodeArtifact(A);
-  ASSERT_GT(WithTiming.size(), Plain.size());
-  ASSERT_TRUE(decodeArtifact(WithTiming, D, Err)) << Err;
-  service::RequestTiming Back;
-  ASSERT_TRUE(service::deserializeRequestTiming(D.TimingText, Back));
-  EXPECT_EQ(Back.Tier, "generated");
-  EXPECT_EQ(Back.CacheUs, 12);
-  EXPECT_EQ(Back.GenUs, 3400);
-  EXPECT_EQ(Back.CompileUs, 5600);
-  EXPECT_EQ(Back.TotalUs, 9100);
+  A.Timing = TM;
+  A.ServerSpans = {{"cache.lookup", "service", 100, 5, 7, 0},
+                   {"generate", "service", 110, 900, 7, 0}};
+  std::string Full = encodeArtifact(A);
 
-  // A decoded no-timing payload into a reused message clears the old
-  // document rather than leaking the previous request's breakdown.
-  ASSERT_TRUE(decodeArtifact(Plain, D, Err)) << Err;
-  EXPECT_TRUE(D.TimingText.empty());
-
-  // Trailing bytes after the timing field are still rejected.
-  EXPECT_FALSE(decodeArtifact(WithTiming + "x", D, Err));
+  ArtifactMsg DA;
+  ASSERT_TRUE(decodeArtifact(Full, DA, Err)) << Err;
+  ASSERT_TRUE(DA.Timing.has_value());
+  EXPECT_EQ(DA.Timing->Tier, "generated");
+  EXPECT_EQ(DA.Timing->CacheUs, 12);
+  EXPECT_EQ(DA.Timing->WaitUs, 3);
+  EXPECT_EQ(DA.Timing->DiskUs, 45);
+  EXPECT_EQ(DA.Timing->GenUs, 3400);
+  EXPECT_EQ(DA.Timing->TuneUs, 77);
+  EXPECT_EQ(DA.Timing->CompileUs, 5600);
+  EXPECT_EQ(DA.Timing->TotalUs, 9100);
+  ASSERT_EQ(DA.ServerSpans.size(), 2u);
+  EXPECT_EQ(DA.ServerSpans[0].Name, "cache.lookup");
+  EXPECT_EQ(DA.ServerSpans[0].StartUs, 100);
+  EXPECT_EQ(DA.ServerSpans[0].DurUs, 5);
+  EXPECT_EQ(DA.ServerSpans[1].Name, "generate");
+  EXPECT_EQ(DA.ServerSpans[1].Cat, "service");
+  EXPECT_EQ(DA.ServerSpans[1].Tid, 7u);
+  // A reused message drops the previous reply's breakdown and spans.
+  ASSERT_TRUE(decodeArtifact(NoTiming, DA, Err)) << Err;
+  EXPECT_FALSE(DA.Timing.has_value());
+  EXPECT_TRUE(DA.ServerSpans.empty());
+  // Truncated and over-long replies are rejected.
+  EXPECT_FALSE(decodeArtifact(Full.substr(0, Full.size() - 1), DA, Err));
+  EXPECT_FALSE(decodeArtifact(Full + "x", DA, Err));
+  // The span list decodes up to its cap and not one span beyond.
+  A.ServerSpans.assign(MaxServerSpans, obs::Span{"s", "c", 1, 1, 1, 0});
+  EXPECT_TRUE(decodeArtifact(encodeArtifact(A), DA, Err)) << Err;
+  A.ServerSpans.push_back(A.ServerSpans.back());
+  EXPECT_FALSE(decodeArtifact(encodeArtifact(A), DA, Err));
 }
 
-TEST(Protocol, RequestTraceIdIsOptionalAndTrailing) {
-  Request R;
-  R.LaSource = "Mat A(4,4) <In>;\n";
-  R.OptionsText = "isa=avx\nfunc=k\n";
+/// Decodes a mutant and, when that succeeds, re-encodes it into \p Out.
+using ReEncodeFn = std::function<bool(const std::string &, std::string &)>;
 
-  // No trace id: byte-identical to the pre-trace format.
-  std::string Plain = encodeRequest(R);
-  R.TraceId = 0x1122334455667788ull;
-  R.SpanId = 0x99aabbccddeeff00ull;
-  std::string WithTrace = encodeRequest(R);
-  // The ids ride behind the timing byte and the deadline word (which may
-  // be zero only in this long form): +1 +4 +8 +8.
-  ASSERT_EQ(WithTrace.size(), Plain.size() + 21);
-  EXPECT_EQ(WithTrace.substr(0, Plain.size()), Plain);
-
-  Request D;
-  std::string Err;
-  ASSERT_TRUE(decodeRequest(WithTrace, D, Err)) << Err;
-  EXPECT_EQ(D.TraceId, 0x1122334455667788ull);
-  EXPECT_EQ(D.SpanId, 0x99aabbccddeeff00ull);
-  EXPECT_FALSE(D.WantTiming);
-  EXPECT_EQ(D.DeadlineMs, 0u);
-
-  // All four tail fields together round-trip.
-  R.WantTiming = true;
-  R.DeadlineMs = 250;
-  ASSERT_TRUE(decodeRequest(encodeRequest(R), D, Err)) << Err;
-  EXPECT_TRUE(D.WantTiming);
-  EXPECT_EQ(D.DeadlineMs, 250u);
-  EXPECT_EQ(D.TraceId, 0x1122334455667788ull);
-  EXPECT_EQ(D.SpanId, 0x99aabbccddeeff00ull);
-
-  // A reused message does not leak the previous request's ids.
-  ASSERT_TRUE(decodeRequest(Plain, D, Err)) << Err;
-  EXPECT_EQ(D.TraceId, 0u);
-  EXPECT_EQ(D.SpanId, 0u);
-
-  // A zero trace id is never encoded, so it never decodes: the 21-byte
-  // tail with an all-zero id slot is malformed, not "untraced".
-  ByteWriter Zero;
-  Zero.u8(0);
-  Zero.u32(0);
-  Zero.u64(0);
-  Zero.u64(7);
-  EXPECT_FALSE(decodeRequest(Plain + Zero.take(), D, Err));
-
-  // Truncated and over-long trace tails are rejected, never forgiven.
-  EXPECT_FALSE(
-      decodeRequest(WithTrace.substr(0, WithTrace.size() - 1), D, Err));
-  EXPECT_FALSE(decodeRequest(WithTrace + "x", D, Err));
+/// Runs byte flips, truncation at every offset, splices between seeds,
+/// u32 length-prefix edits at every offset, and a trailing byte over
+/// \p Seeds, and requires every mutant to be rejected or to re-encode to
+/// exactly its own bytes. Returns the number of accepted mutants.
+size_t checkMutants(const char *What, const std::vector<std::string> &Seeds,
+                    const ReEncodeFn &ReEncode, Rng &G) {
+  std::vector<std::string> Mutants;
+  for (const std::string &S : Seeds) {
+    Mutants.push_back(S);
+    Mutants.push_back(S + '\0');
+    for (size_t Cut = 0; Cut < S.size(); ++Cut)
+      Mutants.push_back(S.substr(0, Cut));
+    for (int I = 0; I < 200; ++I) {
+      std::string M = S;
+      M[G.next() % M.size()] ^= static_cast<char>(1u << (G.next() % 8));
+      Mutants.push_back(std::move(M));
+    }
+    for (int I = 0; I < 100; ++I) {
+      const std::string &T = Seeds[G.next() % Seeds.size()];
+      Mutants.push_back(S.substr(0, G.next() % (S.size() + 1)) +
+                        T.substr(G.next() % (T.size() + 1)));
+    }
+    for (size_t Off = 0; Off + 4 <= S.size(); ++Off) {
+      uint32_t Cur;
+      std::memcpy(&Cur, S.data() + Off, 4); // little-endian host
+      for (uint32_t V : {Cur - 1, Cur + 1, 0u, 0xffffffffu,
+                         static_cast<uint32_t>(S.size())}) {
+        std::string M = S;
+        std::memcpy(M.data() + Off, &V, 4);
+        Mutants.push_back(std::move(M));
+      }
+    }
+  }
+  size_t Accepted = 0;
+  for (const std::string &M : Mutants) {
+    std::string Out;
+    if (!ReEncode(M, Out))
+      continue;
+    ++Accepted;
+    if (Out != M) {
+      ADD_FAILURE() << What << ": an accepted " << M.size()
+                    << "-byte mutant re-encodes to " << Out.size()
+                    << " different bytes";
+      break;
+    }
+  }
+  // Both outcomes must occur, or the mutants exercised nothing.
+  EXPECT_GT(Accepted, 0u) << What;
+  EXPECT_LT(Accepted, Mutants.size()) << What;
+  return Mutants.size();
 }
 
-TEST(Protocol, ArtifactServerSpansAreOptionalAndTrailing) {
+// The fixed layout's defining property: each message has one encoding, so
+// no mutant decodes to a message whose encoding differs from the mutant.
+// Decoding reuses one message per kind, so a field the decoder forgets to
+// reset would leak into the re-encoding too.
+TEST(Protocol, MutantsAreRejectedOrReEncodeExactly) {
+  Rng G(0x5eed5eedULL);
+  size_t Total = 0;
+
+  Request R = potrfRequest("mut", avxIsa(), 4);
+  Request Full = R;
+  Full.Batched = true;
+  Full.StrategyName = "fused";
+  Full.Threads = 3;
+  Full.MeasureOverride = 1;
+  Full.WantSo = false;
+  Full.WantTiming = true;
+  Full.DeadlineMs = 250;
+  Full.TraceId = 0x0102030405060708ull;
+  Request DR;
+  Total += checkMutants(
+      "request", {encodeRequest(R), encodeRequest(Full)},
+      [&DR](const std::string &In, std::string &Out) {
+        std::string Err;
+        if (!decodeRequest(In, DR, Err))
+          return false;
+        Out = encodeRequest(DR);
+        return true;
+      },
+      G);
+
   ArtifactMsg A;
   A.Key = "00deadbeef001122";
-  A.FuncName = "potrf8";
+  A.FuncName = "k";
   A.IsaName = "avx";
   A.NumParams = 2;
-  A.CSource = "void potrf8(double*, double*);";
-  service::RequestTiming TM;
-  TM.Tier = "generated";
-  TM.TotalUs = 10;
-  A.TimingText = service::serializeRequestTiming(TM);
-  std::string NoSpans = encodeArtifact(A);
+  A.Batched = true;
+  A.StrategyName = "loop";
+  A.BatchThreads = 2;
+  A.Choice = {1, 0};
+  A.StaticCost = 99;
+  A.Measured = true;
+  A.MeasuredCycles = 12.5;
+  A.CSource = "void k();";
+  A.SoBytes = std::string("\x7f""ELF\0", 5);
+  std::string Plain = encodeArtifact(A);
+  A.Timing = service::RequestTiming{"mem", 1, 2, 3, 4, 5, 6, 7};
+  std::string Timed = encodeArtifact(A);
+  A.ServerSpans = {{"cache.lookup", "service", 100, 5, 7, 0},
+                   {"generate", "service", 110, 900, 8, 0}};
+  std::string Spanned = encodeArtifact(A);
+  ArtifactMsg DA;
+  Total += checkMutants(
+      "artifact", {Plain, Timed, Spanned},
+      [&DA](const std::string &In, std::string &Out) {
+        std::string Err;
+        if (!decodeArtifact(In, DA, Err))
+          return false;
+        Out = encodeArtifact(DA);
+        return true;
+      },
+      G);
 
-  obs::Span S1{"cache.lookup", "service", 100, 5, 7, 0};
-  obs::Span S2{"generate", "service", 110, 900, 7, 0};
-  A.ServerSpans = {S1, S2};
-  std::string WithSpans = encodeArtifact(A);
-  ASSERT_GT(WithSpans.size(), NoSpans.size());
-  EXPECT_EQ(WithSpans.substr(0, NoSpans.size()), NoSpans);
-
-  ArtifactMsg D;
-  std::string Err;
-  ASSERT_TRUE(decodeArtifact(WithSpans, D, Err)) << Err;
-  ASSERT_EQ(D.ServerSpans.size(), 2u);
-  EXPECT_EQ(D.ServerSpans[0].Name, "cache.lookup");
-  EXPECT_EQ(D.ServerSpans[0].StartUs, 100);
-  EXPECT_EQ(D.ServerSpans[0].DurUs, 5);
-  EXPECT_EQ(D.ServerSpans[1].Name, "generate");
-  EXPECT_EQ(D.ServerSpans[1].Cat, "service");
-  EXPECT_EQ(D.ServerSpans[1].Tid, 7u);
-
-  // A decoded span-free payload into a reused message clears the list.
-  ASSERT_TRUE(decodeArtifact(NoSpans, D, Err)) << Err;
-  EXPECT_TRUE(D.ServerSpans.empty());
-
-  // An empty span list is never encoded, so a zero count never decodes;
-  // a hostile count beyond the cap is rejected before any reserve.
-  ByteWriter ZeroCount;
-  ZeroCount.u32(0);
-  EXPECT_FALSE(decodeArtifact(NoSpans + ZeroCount.take(), D, Err));
-  ByteWriter Huge;
-  Huge.u32(100000);
-  EXPECT_FALSE(decodeArtifact(NoSpans + Huge.take(), D, Err));
-
-  // Truncated and over-long span blobs are malformed.
-  EXPECT_FALSE(
-      decodeArtifact(WithSpans.substr(0, WithSpans.size() - 1), D, Err));
-  EXPECT_FALSE(decodeArtifact(WithSpans + "x", D, Err));
+  Total += checkMutants(
+      "error",
+      {encodeErrorPayload(service::Errc::ParseError, "line 3: bad"),
+       encodeErrorPayload(service::Errc::Overloaded, "")},
+      [](const std::string &In, std::string &Out) {
+        service::Errc Code;
+        std::string Msg;
+        if (!decodeErrorPayload(In, Code, Msg))
+          return false;
+        Out = encodeErrorPayload(Code, Msg);
+        return true;
+      },
+      G);
+  EXPECT_GT(Total, 2000u);
 }
 
 TEST(SldServer, ServerTimingArrivesOnMissAndHit) {
@@ -1125,27 +1156,22 @@ TEST(SldServer, ServerTimingArrivesOnMissAndHit) {
   R.WantTiming = true;
   ArtifactMsg A;
   ASSERT_TRUE(C.get(R, A, Err)) << Err;
-  ASSERT_FALSE(A.TimingText.empty());
-  service::RequestTiming Miss;
-  ASSERT_TRUE(service::deserializeRequestTiming(A.TimingText, Miss))
-      << A.TimingText;
-  EXPECT_EQ(Miss.Tier, "generated");
-  EXPECT_GT(Miss.GenUs, 0);
-  EXPECT_GE(Miss.TotalUs, Miss.GenUs);
+  ASSERT_TRUE(A.Timing.has_value());
+  EXPECT_EQ(A.Timing->Tier, "generated");
+  EXPECT_GT(A.Timing->GenUs, 0);
+  EXPECT_GE(A.Timing->TotalUs, A.Timing->GenUs);
 
   // Same request again: a memory-tier hit, with its own (hit-shaped)
   // breakdown.
   ASSERT_TRUE(C.get(R, A, Err)) << Err;
-  ASSERT_FALSE(A.TimingText.empty());
-  service::RequestTiming Hit;
-  ASSERT_TRUE(service::deserializeRequestTiming(A.TimingText, Hit));
-  EXPECT_EQ(Hit.Tier, "mem");
-  EXPECT_EQ(Hit.GenUs, 0);
+  ASSERT_TRUE(A.Timing.has_value());
+  EXPECT_EQ(A.Timing->Tier, "mem");
+  EXPECT_EQ(A.Timing->GenUs, 0);
 
-  // A client that does not ask gets the pre-timing response shape.
+  // A client that does not ask gets no breakdown.
   R.WantTiming = false;
   ASSERT_TRUE(C.get(R, A, Err)) << Err;
-  EXPECT_TRUE(A.TimingText.empty());
+  EXPECT_FALSE(A.Timing.has_value());
 
   // The daemon's STATS now carries the cache gauges.
   std::string Stats;
@@ -1155,7 +1181,7 @@ TEST(SldServer, ServerTimingArrivesOnMissAndHit) {
   EXPECT_NE(Stats.find("disk-bytes="), std::string::npos) << Stats;
 }
 
-TEST(SldServer, ServerSpansRideTheReplyOnlyForTracedTimingRequests) {
+TEST(SldServer, ServerSpansRideEveryTimingReply) {
   service::ServiceConfig SC;
   SC.UseCompiler = false;
   TestDaemon D(SC);
@@ -1163,35 +1189,30 @@ TEST(SldServer, ServerSpansRideTheReplyOnlyForTracedTimingRequests) {
   Client C = D.client();
   std::string Err;
 
-  // Trace id + want-timing: the daemon ships its span list back, and the
-  // generation phase is in it -- the raw material for the merged trace.
-  Request R = potrfRequest("span_potrf", scalarIsa());
-  R.WantTiming = true;
-  R.TraceId = obs::newTraceId();
-  R.SpanId = obs::newTraceId();
-  ArtifactMsg A;
-  ASSERT_TRUE(C.get(R, A, Err)) << Err;
-  ASSERT_FALSE(A.ServerSpans.empty());
-  bool SawGenerate = false;
-  for (const obs::Span &S : A.ServerSpans)
-    SawGenerate = SawGenerate || S.Name == "generate";
-  EXPECT_TRUE(SawGenerate) << A.ServerSpans.size() << " spans, no generate";
-
-  // Want-timing alone is exactly what an old client sends: it must keep
-  // getting the old reply shape (breakdown text, no span field).
-  Request R2 = potrfRequest("span_potrf2", scalarIsa());
-  R2.WantTiming = true;
-  ASSERT_TRUE(C.get(R2, A, Err)) << Err;
-  EXPECT_FALSE(A.TimingText.empty());
-  EXPECT_TRUE(A.ServerSpans.empty());
+  // Want-timing: the daemon ships its span list back, and the generation
+  // phase is in it -- the raw material for the merged trace. A trace id
+  // is not required for that.
+  for (uint64_t TraceId : {obs::newTraceId(), uint64_t(0)}) {
+    Request R = potrfRequest(TraceId ? "span_potrf" : "span_potrf2",
+                             scalarIsa());
+    R.WantTiming = true;
+    R.TraceId = TraceId;
+    ArtifactMsg A;
+    ASSERT_TRUE(C.get(R, A, Err)) << Err;
+    EXPECT_TRUE(A.Timing.has_value());
+    bool SawGenerate = false;
+    for (const obs::Span &S : A.ServerSpans)
+      SawGenerate = SawGenerate || S.Name == "generate";
+    EXPECT_TRUE(SawGenerate) << A.ServerSpans.size() << " spans, no generate";
+  }
 
   // A trace id without want-timing tags the daemon's own records but
   // ships nothing back.
   Request R3 = potrfRequest("span_potrf3", scalarIsa());
   R3.TraceId = obs::newTraceId();
-  R3.SpanId = obs::newTraceId();
+  ArtifactMsg A;
   ASSERT_TRUE(C.get(R3, A, Err)) << Err;
-  EXPECT_TRUE(A.TimingText.empty());
+  EXPECT_FALSE(A.Timing.has_value());
   EXPECT_TRUE(A.ServerSpans.empty());
 }
 
@@ -1261,11 +1282,10 @@ TEST(SldServer, ConnectionCapShedsWithOverloaded) {
     Frame F;
     ASSERT_EQ(readFrame(Fd, F, Err), ReadStatus::Ok) << Err;
     EXPECT_EQ(F.verb(), Verb::Error);
-    std::optional<service::Errc> Code;
+    service::Errc Code;
     std::string Msg;
-    decodeErrorPayload(F.Payload, Code, Msg);
-    ASSERT_TRUE(Code.has_value()) << F.Payload;
-    EXPECT_EQ(*Code, service::Errc::Overloaded);
+    ASSERT_TRUE(decodeErrorPayload(F.Payload, Code, Msg)) << F.Payload;
+    EXPECT_EQ(Code, service::Errc::Overloaded);
     EXPECT_EQ(readFrame(Fd, F, Err), ReadStatus::Eof);
     close(Fd);
   }

@@ -307,13 +307,15 @@ grep -q "cache key:" "$SMOKE_OUT"
 echo "== observability smoke =="
 # A traced, timed request against the live daemon: the Chrome trace export
 # must be loadable JSON with at least one complete span, and the wire must
-# deliver the server-side phase breakdown.
+# deliver the server-side phase breakdown and the daemon's spans, which the
+# client merges into the trace on rows tid >= 1000.
 "$BUILD/slc" -connect "$SLD_SOCK" -timing \
   -trace-out "$SMOKE_CACHE/trace.json" "$ROOT/examples/potrf.la" \
   > "$SMOKE_OUT" 2> "$SMOKE_CACHE/timing.log"
 grep -q "timing: tier=" "$SMOKE_CACHE/timing.log"
 grep -q '"traceEvents"' "$SMOKE_CACHE/trace.json"
 grep -q '"ph": "X"' "$SMOKE_CACHE/trace.json" # >= 1 complete span
+grep -Eq '"tid": [1-9][0-9]{3,}' "$SMOKE_CACHE/trace.json" # >= 1 daemon span
 if command -v python3 > /dev/null 2>&1; then
   python3 -c 'import json, sys
 spans = json.load(open(sys.argv[1]))["traceEvents"]

@@ -575,18 +575,13 @@ int main(int argc, char **argv) {
       fprintf(stderr, "%s: %s\n", Input.c_str(), K.message().c_str());
       return 1;
     }
-    if (TimingSet) {
-      if (const sl::TimingBreakdown *T = K->timing())
-        fprintf(stderr,
-                "timing: tier=%s total-us=%ld round-trip-us=%ld "
-                "(cache=%ld wait=%ld disk=%ld gen=%ld tune=%ld "
-                "compile=%ld)\n",
-                T->Tier.c_str(), T->TotalUs, T->RoundTripUs, T->CacheUs,
-                T->WaitUs, T->DiskUs, T->GenUs, T->TuneUs, T->CompileUs);
-      else
-        fprintf(stderr, "timing: unavailable (serving side predates the "
-                        "breakdown field)\n");
-    }
+    if (const sl::TimingBreakdown *T = K->timing())
+      fprintf(stderr,
+              "timing: tier=%s total-us=%ld round-trip-us=%ld "
+              "(cache=%ld wait=%ld disk=%ld gen=%ld tune=%ld "
+              "compile=%ld)\n",
+              T->Tier.c_str(), T->TotalUs, T->RoundTripUs, T->CacheUs,
+              T->WaitUs, T->DiskUs, T->GenUs, T->TuneUs, T->CompileUs);
     if (PrintBasic && ConnectAddr.empty())
       fprintf(stderr, "/* -print-basic is unavailable with "
                       "-measure/-cache-dir (cache hits skip Stage 1) */\n");
