@@ -7,6 +7,7 @@
 #include "cir/Passes.h"
 
 #include "cir/Verify.h"
+#include "erm/Erm.h"
 
 #include <algorithm>
 #include <cassert>
@@ -137,6 +138,7 @@ void unrollBlock(std::vector<Node> &Body, int MaxTrip) {
 
 void cir::unrollLoops(Function &F, int MaxTrip) {
   unrollBlock(F.Body, MaxTrip);
+  verifyAssert(F, "unroll-loops");
 }
 
 //===----------------------------------------------------------------------===//
@@ -286,10 +288,13 @@ private:
 
 void cir::cse(Function &F) {
   CsePass Pass(F);
+  // After value numbering, so equal divisors are one register.
+  reciprocalDivide(F);
   // Kernels compile without implicit contraction, so on FMA ISAs every
   // fused multiply-add is placed here, scalar chains included.
   if (F.Nu >= 4)
     contractFma(F);
+  verifyAssert(F, "cse");
 }
 
 //===----------------------------------------------------------------------===//
@@ -344,6 +349,7 @@ bool dceOnce(Function &F) {
 void cir::dce(Function &F) {
   while (dceOnce(F))
     ;
+  verifyAssert(F, "dce");
 }
 
 //===----------------------------------------------------------------------===//
@@ -442,14 +448,160 @@ void cir::contractFma(Function &F) {
   verifyAssert(F, "contract-fma");
 }
 
-void cir::optimize(Function &F, int UnrollMaxTrip) {
-  unrollLoops(F, UnrollMaxTrip);
-  verifyAssert(F, "unroll-loops");
-  cse(F);
-  verifyAssert(F, "cse");
-  loadStoreOpt(F); // hooks internally
-  cse(F);
-  verifyAssert(F, "cse-2");
-  dce(F);
-  verifyAssert(F, "dce");
+//===----------------------------------------------------------------------===//
+// Division by reciprocals.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+class ReciprocalDivide {
+public:
+  ReciprocalDivide(Function &F)
+      : F(F), Defs(defCounts(F)), IsOne(F.NumRegs, false),
+        Divides(F.NumRegs, 0), Recip(F.NumRegs, -1) {
+    forEachInst(F.Body, [&](const Inst &I) {
+      if (I.K == Op::SConst && singleDef(I.Dst) && I.Imm == 1.0)
+        IsOne[I.Dst] = true;
+    });
+    divideBack();
+    Ready = erm::readyCycles(F);
+    forEachInst(F.Body, [&](const Inst &I) {
+      if (divides(I))
+        ++Divides[I.B];
+    });
+    // One reciprocal per divisor that some division will multiply by.
+    const int OldRegs = F.NumRegs;
+    forEachInst(F.Body, [&](const Inst &I) {
+      if (rewrites(I) && Recip[I.B] < 0)
+        Recip[I.B] = newReg();
+    });
+    if (F.NumRegs == OldRegs)
+      return;
+    // The constant 1 they divide, defined at the function's entry: a
+    // top-level one moves there, or a new one is made.
+    Inst C;
+    auto It = std::find_if(F.Body.begin(), F.Body.end(), [&](const Node &N) {
+      const auto *I = std::get_if<Inst>(&N);
+      return I && I->K == Op::SConst && IsOne[I->Dst];
+    });
+    if (It != F.Body.end()) {
+      C = std::move(std::get<Inst>(*It));
+      F.Body.erase(It);
+    } else {
+      C.K = Op::SConst;
+      C.Dst = newReg();
+      C.Imm = 1.0;
+    }
+    One = C.Dst;
+    Rename.resize(F.NumRegs);
+    for (int R = 0; R < F.NumRegs; ++R)
+      Rename[R] = R;
+    runBlock(F.Body);
+    F.Body.insert(F.Body.begin(), std::move(C));
+  }
+
+private:
+  Function &F;
+  std::vector<int> Defs;
+  std::vector<double> Ready;
+  std::vector<bool> IsOne;  ///< single-def constant 1
+  std::vector<int> Divides; ///< divisions by d of anything but 1
+  std::vector<int> Recip;   ///< the reciprocal register of d, or -1
+  std::vector<int> Rename;
+  int One = -1;
+
+  bool singleDef(int R) const { return R >= 0 && Defs[R] == 1; }
+
+  int newReg() {
+    F.RegWidth.push_back(1);
+    return F.NumRegs++;
+  }
+
+  /// A division that may become a multiply: by a single-def divisor other
+  /// than the constant 1, of anything but the constant 1.
+  bool divides(const Inst &I) const {
+    return I.K == Op::SDiv && singleDef(I.B) && !IsOne[I.B] && !IsOne[I.A];
+  }
+
+  /// The rule, read on the function with every product by a reciprocal
+  /// divided back.
+  bool rewrites(const Inst &I) const {
+    return divides(I) &&
+           (Divides[I.B] >= 2 ||
+            Ready[I.B] + erm::sandyBridge().MulLatency <= Ready[I.A]);
+  }
+
+  /// Turns every scalar product by a single-def `1 / d` back into the
+  /// division it stands for, so the rule decides each quotient afresh:
+  /// every cse runs the pass, and a division that an earlier run moved on
+  /// what it knew then (before store-to-load forwarding joined equal
+  /// divisors) is decided again on the final function.
+  void divideBack() {
+    std::vector<int> Of(F.NumRegs, -1); // r = 1 / d: Of[r] = d
+    forEachInst(F.Body, [&](const Inst &I) {
+      if (I.K == Op::SDiv && singleDef(I.Dst) && IsOne[I.A] &&
+          singleDef(I.B) && !IsOne[I.B])
+        Of[I.Dst] = I.B;
+    });
+    forEachInst(F.Body, [&](Inst &I) {
+      if (I.K != Op::SMul)
+        return;
+      if (I.A >= 0 && Of[I.A] >= 0 && (I.B < 0 || Of[I.B] < 0))
+        std::swap(I.A, I.B);
+      if (I.B >= 0 && Of[I.B] >= 0) {
+        I.K = Op::SDiv;
+        I.B = Of[I.B];
+      }
+    });
+  }
+
+  /// True for an existing `1 / d` that the new reciprocal of d replaces.
+  bool reused(const Inst &I) const {
+    return I.K == Op::SDiv && singleDef(I.B) && IsOne[I.A] &&
+           singleDef(I.Dst) && Recip[I.B] >= 0;
+  }
+
+  void runBlock(std::vector<Node> &Body) {
+    std::vector<Node> Out;
+    Out.reserve(Body.size());
+    for (Node &N : Body) {
+      if (auto *LP = std::get_if<Loop>(&N)) {
+        runBlock(LP->Body);
+        Out.push_back(std::move(N));
+        continue;
+      }
+      Inst I = std::move(std::get<Inst>(N));
+      int Def = hasDst(I.K) ? I.Dst : -1;
+      if (reused(I)) {
+        Rename[I.Dst] = Recip[I.B];
+      } else {
+        bool Rewrite = rewrites(I);
+        int D = I.B;
+        applyRename(I, Rename);
+        if (Rewrite) {
+          I.K = Op::SMul;
+          I.B = Recip[D];
+        }
+        Out.push_back(std::move(I));
+      }
+      // The reciprocal follows its divisor's (unique) definition, or takes
+      // the place of a reused `1 / d` that was itself a divisor.
+      if (Def >= 0 && Recip[Def] >= 0) {
+        Inst R;
+        R.K = Op::SDiv;
+        R.Dst = Recip[Def];
+        R.A = One;
+        R.B = Rename[Def];
+        Out.push_back(std::move(R));
+      }
+    }
+    Body = std::move(Out);
+  }
+};
+
+} // namespace
+
+void cir::reciprocalDivide(Function &F) {
+  ReciprocalDivide Pass(F);
+  verifyAssert(F, "reciprocal-divide");
 }

@@ -271,6 +271,13 @@ Analysis erm::analyze(const cir::Function &F, const MicroArch &M) {
   return A;
 }
 
+std::vector<double> erm::readyCycles(const cir::Function &F,
+                                     const MicroArch &M) {
+  ChainAnalyzer Chain{M, std::vector<double>(F.NumRegs, 0.0), {}, 0.0};
+  Chain.run(F.Body);
+  return std::move(Chain.RegDepth);
+}
+
 std::string erm::formatRow(const Analysis &A) {
   return formatf("%-10s %5.0f%% %6.1f %6.1f", A.Bottleneck.c_str(),
                  100.0 * A.ShuffleBlendIssueRate, A.PerfLimitShuffles,

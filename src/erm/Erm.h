@@ -22,6 +22,7 @@
 #include "cir/CIR.h"
 
 #include <string>
+#include <vector>
 
 namespace slingen {
 namespace erm {
@@ -85,6 +86,13 @@ struct Analysis {
 
 /// Statically analyzes \p F against \p M.
 Analysis analyze(const cir::Function &F, const MicroArch &M = sandyBridge());
+
+/// Cycle at which each register's value is ready (indexed by register id;
+/// a register defined more than once reports its last definition), along
+/// the latency-weighted chains that CriticalPathCycles measures. Stage 3
+/// reads it to keep divisions whose divisor is ready last.
+std::vector<double> readyCycles(const cir::Function &F,
+                                const MicroArch &M = sandyBridge());
 
 /// Formats one Table 4 row: "bottleneck  issue-rate  limitS  limitB".
 std::string formatRow(const Analysis &A);

@@ -101,7 +101,11 @@ cir::Function slingen::compileBasicProgram(Program &P, const GenOptions &O) {
   cir::Function F = B.take(Params);
   F.ParamWritable = std::move(Writable);
   F.Locals = std::move(Locals);
+  optimizeStage3(F, O);
+  return F;
+}
 
+void slingen::optimizeStage3(cir::Function &F, const GenOptions &O) {
   if (O.EnableUnroll)
     cir::unrollLoops(F, O.UnrollMaxTrip);
   if (O.EnableCse)
@@ -113,7 +117,6 @@ cir::Function slingen::compileBasicProgram(Program &P, const GenOptions &O) {
   }
   if (O.EnableDce)
     cir::dce(F);
-  return F;
 }
 
 //===----------------------------------------------------------------------===//
@@ -194,8 +197,9 @@ uint64_t slingen::optionsFingerprint(const GenOptions &O) {
   // cached shared objects keyed on the fingerprint can never serve stale
   // code. v2: masked fused batch tails, FMA contraction, aligned locals.
   // v3: per-tile register widths, explicit scalar FMAs, no implicit
-  // contraction by the C compiler.
-  constexpr uint64_t EmissionVersion = 3;
+  // contraction by the C compiler. v4: divisions by reciprocals
+  // (cir::reciprocalDivide), which changes the last bits of outputs.
+  constexpr uint64_t EmissionVersion = 4;
   Fnv1a64 H;
   H.num(EmissionVersion);
   H.str(O.Isa->Name);

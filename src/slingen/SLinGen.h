@@ -14,7 +14,8 @@
 ///   Stage 2  Scalar-merging rules (Table 2) run, then every statement is
 ///            tiled into nu-BLACs and lowered to C-IR.
 ///   Stage 3  C-IR passes run (unrolling, CSE, the load/store analysis,
-///            DCE) and the kernel is unparsed to C with intrinsics.
+///            division by reciprocals, DCE) and the kernel is unparsed to C
+///            with intrinsics.
 ///
 /// Autotuning enumerates variant choices; a static cost model pre-ranks
 /// them (used by tests), and the runtime harness re-ranks by measurement
@@ -74,9 +75,14 @@ bool expandProgramHlacs(Program &P, int BlockSize,
                         const std::vector<int> &Choice,
                         flame::Database *DB = nullptr);
 
-/// Compiles a basic (HLAC-free) program to C-IR: Stage 2 tiling plus the
-/// Stage 3 pass pipeline.
+/// Compiles a basic (HLAC-free) program to C-IR: Stage 2 tiling, then
+/// optimizeStage3.
 cir::Function compileBasicProgram(Program &P, const GenOptions &O);
+
+/// The Stage 3 pass pipeline, the one place its order is written:
+/// unroll -> cse -> loadStoreOpt -> cse -> dce, each gated by its toggle
+/// in \p O. Each cse also divides by reciprocals (cir::reciprocalDivide).
+void optimizeStage3(cir::Function &F, const GenOptions &O);
 
 /// Weighted static cycle estimate of a C-IR function (division/sqrt heavy,
 /// matching the Sandy-Bridge-like issue costs the paper reports); used to

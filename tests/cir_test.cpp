@@ -10,6 +10,7 @@
 #include "cir/Verify.h"
 #include "cir/Passes.h"
 #include "expr/Program.h"
+#include "slingen/SLinGen.h"
 
 #include <gtest/gtest.h>
 
@@ -299,6 +300,229 @@ TEST(CirPasses, RedundantLoadReuse) {
   EXPECT_DOUBLE_EQ(K.CBuf[0], 2.0 * K.ABuf[0]);
 }
 
+//===----------------------------------------------------------------------===//
+// Division by reciprocals.
+//===----------------------------------------------------------------------===//
+
+int countOp(const std::vector<Node> &Body, Op K) {
+  int N = 0;
+  for (const Node &Nd : Body)
+    if (const auto *I = std::get_if<Inst>(&Nd))
+      N += I->K == K;
+    else
+      N += countOp(std::get<Loop>(Nd).Body, K);
+  return N;
+}
+
+/// Applies reciprocalDivide to a copy of \p F, checks that the copy
+/// verifies and that its outputs are within 2 ulp of \p F's, and returns it.
+Function reciprocalDivided(const Function &F, Kernel2 &K) {
+  Function G = F;
+  reciprocalDivide(G);
+  std::vector<double> RefA = K.ABuf, RefC = K.CBuf;
+  interpretVerified(F, {{K.A, RefA.data()}, {K.C, RefC.data()}});
+  interpretVerified(G, K.buffers());
+  for (size_t I = 0; I < RefC.size(); ++I) {
+    double Ulp = std::nextafter(std::fabs(RefC[I]), INFINITY) -
+                 std::fabs(RefC[I]);
+    EXPECT_LE(std::fabs(K.CBuf[I] - RefC[I]), 2 * Ulp) << "C[" << I << "]";
+  }
+  return G;
+}
+
+/// The instruction that defines \p R in \p Body, or null.
+const Inst *defOf(const std::vector<Node> &Body, int R) {
+  for (const Node &N : Body)
+    if (const auto *I = std::get_if<Inst>(&N); I && I->Dst == R)
+      return I;
+  return nullptr;
+}
+
+TEST(CirReciprocal, TwoDivisionsShareOneReciprocal) {
+  Kernel2 K;
+  FuncBuilder B("k", 1);
+  int D = B.sload(B.addr(K.A, 5));
+  int X = B.sload(B.addr(K.A, 1));
+  int Y = B.sload(B.addr(K.A, 2));
+  B.sstore(B.addr(K.C, 0), B.sbin(Op::SDiv, X, D));
+  B.sstore(B.addr(K.C, 1), B.sbin(Op::SDiv, Y, D));
+  Function F = B.take({K.A, K.C});
+  Function G = reciprocalDivided(F, K);
+  EXPECT_EQ(countOp(G.Body, Op::SDiv), 1);
+  EXPECT_EQ(countOp(G.Body, Op::SMul), 2);
+  // r = 1 / d sits right after d's load.
+  size_t At = 0;
+  while (At + 1 < G.Body.size() && std::get<Inst>(G.Body[At]).Dst != D)
+    ++At;
+  ASSERT_LT(At + 1, G.Body.size());
+  const Inst &R = std::get<Inst>(G.Body[At + 1]);
+  EXPECT_EQ(R.K, Op::SDiv);
+  EXPECT_EQ(R.B, D);
+  const Inst *One = defOf(G.Body, R.A);
+  ASSERT_NE(One, nullptr);
+  EXPECT_EQ(One->K, Op::SConst);
+  EXPECT_EQ(One->Imm, 1.0);
+}
+
+TEST(CirReciprocal, ExistingReciprocalIsReused) {
+  // Rule R1's form: t = 1 / d is already there, and d divides x and y.
+  Kernel2 K;
+  FuncBuilder B("k", 1);
+  int D = B.sload(B.addr(K.A, 5));
+  int One = B.sconst(1.0);
+  int T = B.sbin(Op::SDiv, One, D);
+  int Y = B.sload(B.addr(K.A, 2));
+  B.sstore(B.addr(K.C, 0), B.sbin(Op::SMul, T, Y));
+  int X = B.sload(B.addr(K.A, 1));
+  B.sstore(B.addr(K.C, 1), B.sbin(Op::SDiv, X, D));
+  B.sstore(B.addr(K.C, 2), B.sbin(Op::SDiv, Y, D));
+  Function F = B.take({K.A, K.C});
+  Function G = reciprocalDivided(F, K);
+  EXPECT_EQ(countOp(G.Body, Op::SDiv), 1);
+  EXPECT_EQ(countOp(G.Body, Op::SMul), 3);
+
+  // The reciprocal alone pulls no division behind it: d = sqrt(..) is
+  // ready after x, so x / d stays beside 1 / d (potrf's last diagonal).
+  Kernel2 K2;
+  FuncBuilder B2("k", 1);
+  int X2 = B2.sload(B2.addr(K2.A, 1));
+  int D2 = B2.ssqrt(B2.sload(B2.addr(K2.A, 5)));
+  int T2 = B2.sbin(Op::SDiv, B2.sconst(1.0), D2);
+  B2.sstore(B2.addr(K2.C, 0), T2);
+  B2.sstore(B2.addr(K2.C, 1), B2.sbin(Op::SDiv, X2, D2));
+  Function F2 = B2.take({K2.A, K2.C});
+  EXPECT_EQ(reciprocalDivided(F2, K2).str(), F2.str());
+}
+
+TEST(CirReciprocal, DivisorReadyLastStaysADivision) {
+  // sqrt(d) is ready a square-root latency after x: 1 / sqrt(d) would put
+  // a multiply after the square root on the only chain there is.
+  Kernel2 K;
+  FuncBuilder B("k", 1);
+  int X = B.sload(B.addr(K.A, 1));
+  int D = B.ssqrt(B.sload(B.addr(K.A, 5)));
+  B.sstore(B.addr(K.C, 0), B.sbin(Op::SDiv, X, D));
+  Function F = B.take({K.A, K.C});
+  Function G = reciprocalDivided(F, K);
+  EXPECT_EQ(G.str(), F.str());
+
+  // The mirror image: the numerator is the late one, so its division moves
+  // off the chain even though d divides nothing else.
+  Kernel2 K2;
+  FuncBuilder B2("k", 1);
+  int X2 = B2.ssqrt(B2.sload(B2.addr(K2.A, 1)));
+  int D2 = B2.sload(B2.addr(K2.A, 5));
+  B2.sstore(B2.addr(K2.C, 0), B2.sbin(Op::SDiv, X2, D2));
+  Function F2 = B2.take({K2.A, K2.C});
+  Function G2 = reciprocalDivided(F2, K2);
+  EXPECT_EQ(countOp(G2.Body, Op::SDiv), 1);
+  EXPECT_EQ(countOp(G2.Body, Op::SMul), 1);
+}
+
+TEST(CirReciprocal, ConstantOneNumeratorIsLeftAlone) {
+  Kernel2 K;
+  FuncBuilder B("k", 1);
+  int One = B.sconst(1.0);
+  int D = B.sload(B.addr(K.A, 5));
+  B.sstore(B.addr(K.C, 0), B.sbin(Op::SDiv, One, D));
+  B.sstore(B.addr(K.C, 1), B.sbin(Op::SAdd, One, D));
+  Function F = B.take({K.A, K.C});
+  Function G = reciprocalDivided(F, K);
+  EXPECT_EQ(G.str(), F.str());
+}
+
+TEST(CirReciprocal, DivisionByConstantOneStays) {
+  // (x + y) / 1 beside two divisions by d: the top-level constant 1 moves
+  // to the entry as the reciprocals' numerator and is never a divisor.
+  Kernel2 K;
+  FuncBuilder B("k", 1);
+  int X = B.sload(B.addr(K.A, 1));
+  int Y = B.sload(B.addr(K.A, 2));
+  int D = B.sload(B.addr(K.A, 5));
+  int One = B.sconst(1.0);
+  B.sstore(B.addr(K.C, 0), B.sbin(Op::SDiv, B.sbin(Op::SAdd, X, Y), One));
+  B.sstore(B.addr(K.C, 1), B.sbin(Op::SDiv, X, D));
+  B.sstore(B.addr(K.C, 2), B.sbin(Op::SDiv, Y, D));
+  Function F = B.take({K.A, K.C});
+  Function G = reciprocalDivided(F, K);
+  EXPECT_EQ(countOp(G.Body, Op::SDiv), 2);
+  EXPECT_EQ(countOp(G.Body, Op::SMul), 2);
+  EXPECT_EQ(std::get<Inst>(G.Body.front()).Dst, One);
+}
+
+TEST(CirReciprocal, ProductByAReciprocalIsDecidedAfresh) {
+  // x * (1 / d), as an earlier run or rule R1 left it, with d = sqrt(..)
+  // ready after x: it goes back to x / d, the shorter chain.
+  Kernel2 K;
+  FuncBuilder B("k", 1);
+  int X = B.sload(B.addr(K.A, 1));
+  int D = B.ssqrt(B.sload(B.addr(K.A, 5)));
+  int R = B.sbin(Op::SDiv, B.sconst(1.0), D);
+  B.sstore(B.addr(K.C, 0), B.sbin(Op::SMul, X, R));
+  Function F = B.take({K.A, K.C});
+  Function G = reciprocalDivided(F, K);
+  dce(G);
+  EXPECT_EQ(countOp(G.Body, Op::SDiv), 1);
+  EXPECT_EQ(countOp(G.Body, Op::SMul), 0);
+
+  // A second run changes nothing the first decided.
+  Kernel2 K2;
+  FuncBuilder B2("k", 1);
+  int D2 = B2.sload(B2.addr(K2.A, 5));
+  for (int E = 0; E < 3; ++E)
+    B2.sstore(B2.addr(K2.C, E),
+              B2.sbin(Op::SDiv, B2.sload(B2.addr(K2.A, E)), D2));
+  Function F2 = B2.take({K2.A, K2.C});
+  Function Once = reciprocalDivided(F2, K2);
+  Function Twice = reciprocalDivided(Once, K2);
+  dce(Twice);
+  EXPECT_EQ(countOp(Twice.Body, Op::SDiv), 1);
+  EXPECT_EQ(countOp(Twice.Body, Op::SMul), 3);
+  EXPECT_EQ(countInsts(Twice), countInsts(Once));
+}
+
+TEST(CirReciprocal, CseDividesByReciprocals) {
+  // The pass runs inside every cse, after value numbering has joined the
+  // two sums into one divisor d; each alone is ready after its numerator.
+  Kernel2 K;
+  FuncBuilder B("k", 1);
+  int L = B.sload(B.addr(K.A, 4));
+  int U = B.sload(B.addr(K.A, 5));
+  int D1 = B.sbin(Op::SAdd, L, U);
+  B.sstore(B.addr(K.C, 0), B.sbin(Op::SDiv, B.sload(B.addr(K.A, 1)), D1));
+  int D2 = B.sbin(Op::SAdd, L, U);
+  B.sstore(B.addr(K.C, 1), B.sbin(Op::SDiv, B.sload(B.addr(K.A, 2)), D2));
+  Function F = B.take({K.A, K.C});
+  cse(F);
+  EXPECT_EQ(countOp(F.Body, Op::SDiv), 1);
+  EXPECT_EQ(countOp(F.Body, Op::SMul), 2);
+}
+
+TEST(CirReciprocal, LoopDivisorIsNotHoisted) {
+  Kernel2 K;
+  FuncBuilder B("k", 1);
+  int IV = B.beginLoop(0, 4, 1);
+  int D = B.sload(B.addr(K.A, 0, {{IV, 5}}));
+  int X = B.sload(B.addr(K.A, 1, {{IV, 4}}));
+  int Y = B.sload(B.addr(K.A, 2, {{IV, 4}}));
+  B.sstore(B.addr(K.C, 0, {{IV, 4}}), B.sbin(Op::SDiv, X, D));
+  B.sstore(B.addr(K.C, 1, {{IV, 4}}), B.sbin(Op::SDiv, Y, D));
+  B.endLoop();
+  Function F = B.take({K.A, K.C});
+  Function G = reciprocalDivided(F, K);
+  const Loop *L = nullptr;
+  int TopDivs = 0;
+  for (const Node &N : G.Body)
+    if (const auto *I = std::get_if<Inst>(&N))
+      TopDivs += I->K == Op::SDiv;
+    else
+      L = &std::get<Loop>(N);
+  ASSERT_NE(L, nullptr);
+  EXPECT_EQ(TopDivs, 0);
+  EXPECT_EQ(countOp(L->Body, Op::SDiv), 1);
+  EXPECT_EQ(countOp(L->Body, Op::SMul), 2);
+}
+
 TEST(CirPasses, OptimizePreservesSemantics) {
   // A mixed kernel exercised before/after the full pipeline.
   for (int Nu : {1, 4}) {
@@ -324,7 +548,7 @@ TEST(CirPasses, OptimizePreservesSemantics) {
     std::map<const Operand *, double *> RefBufs = {{K.A, RefA.data()},
                                                    {K.C, RefC.data()}};
     interpretVerified(F, RefBufs);
-    optimize(F);
+    slingen::optimizeStage3(F, GenOptions());
     interpretVerified(F, K.buffers());
     EXPECT_EQ(RefC, K.CBuf) << "nu=" << Nu;
   }

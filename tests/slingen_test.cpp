@@ -10,6 +10,8 @@
 //===----------------------------------------------------------------------===//
 
 #include "cir/Interp.h"
+#include "cir/Passes.h"
+#include "erm/Erm.h"
 #include "expr/Evaluator.h"
 #include "la/Lower.h"
 #include "la/Programs.h"
@@ -393,6 +395,164 @@ TEST(Normalization, ScalarSqrtInMatrixStmtIsHoisted) {
   auto XD = E.get(X);
   for (int I = 0; I < 8; ++I)
     EXPECT_NEAR(XD[I], 1.5 * (I + 1), 1e-12);
+}
+
+//===----------------------------------------------------------------------===//
+// Stage 3 division by reciprocals, on the served (static-best) variants.
+//===----------------------------------------------------------------------===//
+
+template <typename FnT>
+void forEachInst(const std::vector<cir::Node> &Body, FnT Fn) {
+  for (const cir::Node &N : Body) {
+    if (const auto *I = std::get_if<cir::Inst>(&N))
+      Fn(*I);
+    else
+      forEachInst(std::get<cir::Loop>(N).Body, Fn);
+  }
+}
+
+template <typename FnT>
+void forEachMutableInst(std::vector<cir::Node> &Body, FnT Fn) {
+  for (cir::Node &N : Body) {
+    if (auto *I = std::get_if<cir::Inst>(&N))
+      Fn(*I);
+    else
+      forEachMutableInst(std::get<cir::Loop>(N).Body, Fn);
+  }
+}
+
+/// Registers holding the constant 1.
+std::vector<bool> ones(const cir::Function &F) {
+  std::vector<bool> One(F.NumRegs, false);
+  forEachInst(F.Body, [&](const cir::Inst &I) {
+    if (I.K == cir::Op::SConst && I.Imm == 1.0)
+      One[I.Dst] = true;
+  });
+  return One;
+}
+
+/// \p F with every product by a reciprocal `1 / d` turned back into a
+/// division by d: the function as it stood before cir::reciprocalDivide.
+cir::Function dividedBack(const cir::Function &F) {
+  cir::Function G = F;
+  std::vector<bool> One = ones(G);
+  std::vector<int> Of(G.NumRegs, -1);
+  forEachInst(G.Body, [&](const cir::Inst &I) {
+    if (I.K == cir::Op::SDiv && One[I.A])
+      Of[I.Dst] = I.B;
+  });
+  forEachMutableInst(G.Body, [&](cir::Inst &I) {
+    if (I.K != cir::Op::SMul)
+      return;
+    if (Of[I.A] >= 0)
+      std::swap(I.A, I.B);
+    if (Of[I.B] >= 0) {
+      I.K = cir::Op::SDiv;
+      I.B = Of[I.B];
+    }
+  });
+  cir::dce(G);
+  return G;
+}
+
+/// The served kernel of \p Source (KernelService's static choice over 16
+/// variants) and the same function before and after a direct call of
+/// cir::reciprocalDivide.
+struct Stage3Pair {
+  GenResult Served;
+  cir::Function Before, After;
+};
+
+std::optional<Stage3Pair> stage3Pair(const std::string &Source,
+                                     const VectorISA &Isa) {
+  std::string Err;
+  auto P = la::compileLa(Source, Err);
+  if (!P) {
+    ADD_FAILURE() << Err;
+    return std::nullopt;
+  }
+  GenOptions O;
+  O.Isa = &Isa;
+  Generator G(std::move(*P), O);
+  std::optional<GenResult> R = G.best(16);
+  if (!R) {
+    ADD_FAILURE() << "generation failed";
+    return std::nullopt;
+  }
+  Stage3Pair S{std::move(*R), {}, {}};
+  S.Before = dividedBack(S.Served.Func);
+  S.After = S.Before;
+  cir::reciprocalDivide(S.After);
+  cir::dce(S.After);
+  return S;
+}
+
+int countOp(const cir::Function &F, cir::Op K) {
+  int N = 0;
+  forEachInst(F.Body, [&](const cir::Inst &I) { N += I.K == K; });
+  return N;
+}
+
+/// The direct call reproduces the served division count and shortens the
+/// critical path of the function before it.
+void expectPassShortensChain(const Stage3Pair &S, const char *What) {
+  EXPECT_EQ(countOp(S.After, cir::Op::SDiv),
+            countOp(S.Served.Func, cir::Op::SDiv))
+      << What;
+  EXPECT_LT(erm::analyze(S.After).CriticalPathCycles,
+            erm::analyze(S.Before).CriticalPathCycles)
+      << What;
+}
+
+const VectorISA *const AllIsas[] = {&scalarIsa(), &sse2Isa(), &avxIsa(),
+                                    &avx512Isa()};
+
+TEST(ReciprocalDivide, GprDividesOncePerDiagonal) {
+  for (const VectorISA *Isa : AllIsas) {
+    auto S = stage3Pair(la::gprSource(4), *Isa);
+    ASSERT_TRUE(S);
+    std::vector<bool> One = ones(S->Served.Func);
+    int Divs = 0, Sqrts = 0;
+    forEachInst(S->Served.Func.Body, [&](const cir::Inst &I) {
+      if (I.K == cir::Op::SDiv) {
+        ++Divs;
+        EXPECT_TRUE(One[I.A]) << Isa->Name << ": " << I.str();
+      }
+      Sqrts += I.K == cir::Op::SSqrt;
+    });
+    EXPECT_EQ(Divs, 4) << Isa->Name;
+    EXPECT_EQ(Sqrts, 4) << Isa->Name;
+    expectPassShortensChain(*S, Isa->Name);
+  }
+}
+
+// Each divisor L(i,i) + U(j,j) is ready from the inputs, long before the
+// numerator's chain, so every division becomes a multiply by a reciprocal.
+// The one exception is the first element, whose numerator is an input that
+// is ready before the divisor's add: the latency rule keeps that division.
+TEST(ReciprocalDivide, SylvesterAndLyapunovDivideOffTheChain) {
+  const double Mul = erm::sandyBridge().MulLatency;
+  for (const char *Kind : {"trsyl", "trlya"})
+    for (const VectorISA *Isa : AllIsas) {
+      std::string Source = std::string(Kind) == "trsyl"
+                               ? la::trsylSource(4)
+                               : la::trlyaSource(4);
+      auto S = stage3Pair(Source, *Isa);
+      ASSERT_TRUE(S);
+      std::vector<bool> One = ones(S->Served.Func);
+      std::vector<double> Ready = erm::readyCycles(S->Before);
+      int Kept = 0;
+      forEachInst(S->Served.Func.Body, [&](const cir::Inst &I) {
+        if (I.K != cir::Op::SDiv || One[I.A])
+          return;
+        ++Kept;
+        EXPECT_GT(Ready[I.B] + Mul, Ready[I.A])
+            << Kind << " " << Isa->Name << ": " << I.str();
+      });
+      EXPECT_EQ(Kept, 1) << Kind << " " << Isa->Name;
+      if (std::string(Kind) == "trsyl")
+        expectPassShortensChain(*S, Isa->Name);
+    }
 }
 
 } // namespace
